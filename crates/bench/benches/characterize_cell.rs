@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use llmpilot_bench::{build_sampler, build_traces};
-use llmpilot_core::characterize::{characterize_cell, CharacterizeConfig};
+use llmpilot_core::characterize::{characterize_cell, CellContext, CharacterizeConfig};
 use llmpilot_sim::gpu::{a100_40, h100, GpuProfile};
 use llmpilot_sim::llm::{flan_t5_xl, llama2_13b};
 
@@ -13,6 +13,7 @@ fn bench_cell(c: &mut Criterion) {
     let traces = build_traces(40_000);
     let sampler = build_sampler(&traces);
     let config = CharacterizeConfig::default();
+    let ctx = CellContext::default();
 
     let mut group = c.benchmark_group("characterize_cell");
     group.sample_size(10);
@@ -21,7 +22,7 @@ fn bench_cell(c: &mut Criterion) {
         ("llama13b_2xH100", llama2_13b(), GpuProfile::new(h100(), 2)),
     ] {
         group.bench_function(BenchmarkId::from_parameter(name), |b| {
-            b.iter(|| black_box(characterize_cell(&llm, &profile, &sampler, &config)));
+            b.iter(|| black_box(characterize_cell(&llm, &profile, &sampler, &config, &ctx)));
         });
     }
     group.finish();

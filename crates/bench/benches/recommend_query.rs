@@ -6,10 +6,10 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use llmpilot_bench::{build_sampler, build_traces};
-use llmpilot_core::characterize::{characterize, CharacterizeConfig};
+use llmpilot_core::characterize::CharacterizeConfig;
 use llmpilot_core::predictor::{PerformancePredictor, PredictorConfig};
 use llmpilot_core::recommend::{recommend, RecommendationRequest};
-use llmpilot_core::{LatencyConstraints, PerfRow};
+use llmpilot_core::{LatencyConstraints, PerfRow, SweepDriver};
 use llmpilot_sim::gpu::paper_profiles;
 use llmpilot_sim::llm::{llm_catalog, starcoder};
 
@@ -20,17 +20,17 @@ fn bench_recommend(c: &mut Criterion) {
     // speed.
     let llms: Vec<_> =
         llm_catalog().into_iter().filter(|m| m.name != "bigcode/starcoder").collect();
-    let ds = characterize(
-        &llms,
-        &paper_profiles(),
-        &sampler,
-        &CharacterizeConfig { duration_s: 30.0, ..CharacterizeConfig::default() },
-    );
+    let profiles = paper_profiles();
+    let (ds, _) = SweepDriver::builder(&llms, &profiles, &sampler)
+        .config(CharacterizeConfig { duration_s: 30.0, ..CharacterizeConfig::default() })
+        .build()
+        .expect("valid sweep config")
+        .run()
+        .expect("a sweep without a journal does no I/O");
     let rows: Vec<&PerfRow> = ds.rows.iter().collect();
     let constraints = LatencyConstraints::paper_defaults();
     let model = PerformancePredictor::train(&rows, &constraints, &PredictorConfig::default())
         .expect("train");
-    let profiles = paper_profiles();
     let request = RecommendationRequest::paper_defaults();
     let unseen = starcoder();
 

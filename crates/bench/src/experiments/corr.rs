@@ -8,9 +8,10 @@
 
 use llmpilot_core::characterize::{IndependentRequestSource, WorkloadRequestSource};
 use llmpilot_sim::engine::Engine;
+use llmpilot_sim::fault::LoadFaults;
 use llmpilot_sim::gpu::{a100_80, GpuProfile};
 use llmpilot_sim::llm::llama2_13b;
-use llmpilot_sim::load::{run_load_test, LoadMetrics, LoadTestConfig};
+use llmpilot_sim::load::{run_load_test_observed, LoadMetrics, LoadTestConfig};
 use llmpilot_sim::memory::{MemoryConfig, MemoryModel};
 use llmpilot_sim::perf_model::{PerfModel, PerfModelConfig};
 use llmpilot_sim::request::RequestSource;
@@ -43,11 +44,13 @@ pub fn ablation() -> CorrAblation {
     let run = |source: &mut dyn RequestSource, users: u32| {
         let perf = PerfModel::new(llm.clone(), profile.clone(), PerfModelConfig::default());
         let mut engine = Engine::new(perf, weight);
-        run_load_test(
+        run_load_test_observed(
             &mut engine,
             &mem,
             source,
             &LoadTestConfig { duration_s: 2_400.0, warmup_s: 120.0, concurrent_users: users },
+            &mut LoadFaults::none(),
+            None,
         )
         .expect("load test")
     };

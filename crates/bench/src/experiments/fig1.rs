@@ -4,9 +4,10 @@
 
 use llmpilot_core::characterize::WorkloadRequestSource;
 use llmpilot_sim::engine::Engine;
+use llmpilot_sim::fault::LoadFaults;
 use llmpilot_sim::gpu::{a100_80, GpuProfile};
 use llmpilot_sim::llm::starcoder;
-use llmpilot_sim::load::{run_load_test, LoadTestConfig};
+use llmpilot_sim::load::{run_load_test_observed, LoadTestConfig};
 use llmpilot_sim::memory::{MemoryConfig, MemoryModel};
 use llmpilot_sim::perf_model::{PerfModel, PerfModelConfig};
 use llmpilot_sim::tuner::tune_max_batch_weight;
@@ -44,11 +45,13 @@ pub fn sweep() -> Vec<(u64, f64, f64)> {
             // Steady-state window: long run with warm-up so the median e2e
             // latency reflects queueing equilibrium rather than the cold
             // start (the paper load-tests a warmed service).
-            let metrics = run_load_test(
+            let metrics = run_load_test_observed(
                 &mut engine,
                 &mem,
                 &mut source,
                 &LoadTestConfig { duration_s: 1_800.0, warmup_s: 600.0, concurrent_users: 128 },
+                &mut LoadFaults::none(),
+                None,
             )
             .expect("load test");
             (weight, metrics.e2e_median_s, metrics.throughput_tokens_per_s)

@@ -12,9 +12,10 @@
 use llmpilot_core::characterize::WorkloadRequestSource;
 use llmpilot_ml::{Dataset, ForestParams, RandomForest};
 use llmpilot_sim::engine::Engine;
+use llmpilot_sim::fault::LoadFaults;
 use llmpilot_sim::gpu::{a100_40, GpuProfile};
 use llmpilot_sim::llm::starcoder;
-use llmpilot_sim::load::{run_load_test, LoadTestConfig};
+use llmpilot_sim::load::{run_load_test_observed, LoadTestConfig};
 use llmpilot_sim::memory::{MemoryConfig, MemoryModel};
 use llmpilot_sim::perf_model::{PerfModel, PerfModelConfig};
 use llmpilot_sim::tuner::tune_max_batch_weight;
@@ -56,11 +57,13 @@ pub fn importance() -> (Vec<f64>, Vec<f64>) {
             let mut engine = Engine::new(perf, weight);
             let mut source =
                 WorkloadRequestSource::new(sampler.clone(), 0xF164 ^ weight ^ u64::from(users));
-            let metrics = run_load_test(
+            let metrics = run_load_test_observed(
                 &mut engine,
                 &mem,
                 &mut source,
                 &LoadTestConfig { duration_s: 60.0, warmup_s: 0.0, concurrent_users: users },
+                &mut LoadFaults::none(),
+                None,
             )
             .expect("load test");
             // CPU cores and pod memory are off the serving path: replicate

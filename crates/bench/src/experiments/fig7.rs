@@ -6,8 +6,7 @@
 //! memory saturates later, and the highest-memory profiles are *not* the
 //! most cost-effective (A100/T4 beat H100 on throughput per dollar).
 
-use llmpilot_core::characterize::{characterize, CharacterizeConfig};
-use llmpilot_core::CharacterizationDataset;
+use llmpilot_core::{CharacterizationDataset, SweepDriver};
 use llmpilot_sim::gpu::paper_profiles;
 use llmpilot_sim::llm::flan_t5_xxl;
 
@@ -17,7 +16,10 @@ use crate::{build_sampler, build_traces, header, DEFAULT_TRACE_REQUESTS};
 pub fn characterization() -> CharacterizationDataset {
     let traces = build_traces(DEFAULT_TRACE_REQUESTS);
     let sampler = build_sampler(&traces);
-    characterize(&[flan_t5_xxl()], &paper_profiles(), &sampler, &CharacterizeConfig::default())
+    let (llms, profiles) = ([flan_t5_xxl()], paper_profiles());
+    let driver =
+        SweepDriver::builder(&llms, &profiles, &sampler).build().expect("valid sweep config");
+    driver.run().expect("a sweep without a journal does no I/O").0
 }
 
 /// Run and print the experiment.

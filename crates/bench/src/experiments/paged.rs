@@ -6,9 +6,10 @@
 
 use llmpilot_core::characterize::WorkloadRequestSource;
 use llmpilot_sim::engine::{AdmissionPolicy, Engine};
+use llmpilot_sim::fault::LoadFaults;
 use llmpilot_sim::gpu::{a100_40, GpuProfile};
 use llmpilot_sim::llm::llama2_13b;
-use llmpilot_sim::load::{run_load_test, LoadMetrics, LoadTestConfig};
+use llmpilot_sim::load::{run_load_test_observed, LoadMetrics, LoadTestConfig};
 use llmpilot_sim::memory::{MemoryConfig, MemoryModel};
 use llmpilot_sim::perf_model::{PerfModel, PerfModelConfig};
 use llmpilot_sim::tuner::tune_max_batch_weight;
@@ -30,11 +31,13 @@ pub fn sweep(policy: AdmissionPolicy) -> Vec<(u32, LoadMetrics)> {
             let perf = PerfModel::new(llm.clone(), profile.clone(), PerfModelConfig::default());
             let mut engine = Engine::new(perf, weight).with_policy(policy);
             let mut source = WorkloadRequestSource::new(sampler.clone(), 0x9A6E ^ u64::from(users));
-            let metrics = run_load_test(
+            let metrics = run_load_test_observed(
                 &mut engine,
                 &mem,
                 &mut source,
                 &LoadTestConfig { duration_s: 600.0, warmup_s: 60.0, concurrent_users: users },
+                &mut LoadFaults::none(),
+                None,
             )
             .expect("load test");
             (users, metrics)

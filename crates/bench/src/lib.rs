@@ -11,7 +11,7 @@
 
 pub mod experiments;
 
-use llmpilot_core::{characterize, CharacterizationDataset, CharacterizeConfig};
+use llmpilot_core::{CharacterizationDataset, CharacterizeConfig, SweepDriver};
 use llmpilot_sim::gpu::paper_profiles;
 use llmpilot_sim::llm::llm_catalog;
 use llmpilot_traces::{Param, TraceDataset, TraceGenerator, TraceGeneratorConfig};
@@ -55,7 +55,12 @@ pub fn build_sampler(traces: &TraceDataset) -> WorkloadSampler {
 /// variance of the median latencies — the measurement-noise level of the
 /// paper's testbed, not a protocol change.
 pub fn full_characterization(sampler: &WorkloadSampler) -> CharacterizationDataset {
-    characterize(&llm_catalog(), &paper_profiles(), sampler, &experiment_characterize_config())
+    let (llms, profiles) = (llm_catalog(), paper_profiles());
+    let driver = SweepDriver::builder(&llms, &profiles, sampler)
+        .config(experiment_characterize_config())
+        .build()
+        .expect("valid sweep config");
+    driver.run().expect("a sweep without a journal does no I/O").0
 }
 
 /// The experiment suite's characterization configuration (longer

@@ -4,14 +4,14 @@
 //! inference service, (2) tunes the maximum batch weight to maximize GPU
 //! utilization, and (3) runs a series of load-testing experiments with
 //! exponentially increasing numbers of concurrent users, collecting TTFT,
-//! normalized TTFT, inter-token latency and throughput. The grid sweep is
-//! embarrassingly parallel and runs cells across threads.
+//! normalized TTFT, inter-token latency and throughput. [`characterize_cell`]
+//! is one cell; the grid sweep over cells is
+//! [`SweepDriver`](crate::sweep::SweepDriver).
 
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 use llmpilot_obs::Recorder;
 use llmpilot_sim::engine::{Engine, PhaseHists};
@@ -23,10 +23,10 @@ use llmpilot_sim::load::{default_user_sweep, run_load_test_observed, LoadTestCon
 use llmpilot_sim::memory::{MemoryConfig, MemoryModel};
 use llmpilot_sim::perf_model::{PerfModel, PerfModelConfig};
 use llmpilot_sim::request::{RequestSource, RequestSpec};
-use llmpilot_sim::tuner::tune_max_batch_weight_faulty_traced;
+use llmpilot_sim::tuner::tune_max_batch_weight_traced;
 use llmpilot_workload::{IndependentSampler, WorkloadSampler};
 
-use crate::dataset::{CharacterizationDataset, PerfRow};
+use crate::dataset::PerfRow;
 
 /// Adapter: drive the simulator with requests drawn from the workload
 /// generator's joint model.
@@ -163,24 +163,6 @@ impl CellOutcome {
     }
 }
 
-/// Per-attempt resource budgets for one cell; exhausting either turns the
-/// cell into [`CellOutcome::Failed`] with [`SimError::BudgetExhausted`]
-/// instead of letting the sweep hang.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CellBudget {
-    /// Maximum engine steps across all load tests of the cell.
-    pub max_steps: Option<u64>,
-    /// Maximum virtual seconds per load test of the cell.
-    pub max_virtual_s: Option<f64>,
-}
-
-impl CellBudget {
-    /// No limits.
-    pub fn unlimited() -> Self {
-        Self::default()
-    }
-}
-
 /// Optional per-cell tail-latency observation: sample histograms for the
 /// load tester plus shared per-phase duration histograms for the engines.
 /// One instance aggregates across every load test of the cell.
@@ -193,92 +175,51 @@ pub struct CellHists {
     pub phases: Arc<PhaseHists>,
 }
 
-/// Characterize one `(LLM, GPU profile)` cell: tune the batch weight, then
-/// load-test every user count.
+/// Everything about one attempt at a cell besides what is measured:
+/// injected faults, the attempt number, resource budgets and observation
+/// sinks. `Default` is inert — no faults, attempt 0, unlimited budget, a
+/// disabled recorder and no histograms — and measures the plain cell.
+#[derive(Debug, Default)]
+pub struct CellContext<'a> {
+    /// Faults to inject ([`FaultPlan::none`] by default).
+    pub plan: FaultPlan,
+    /// Attempt number (0-based); fault sites include it, measurement seeds
+    /// do not.
+    pub attempt: u32,
+    /// Maximum engine steps across all load tests of the attempt;
+    /// exhausting it fails the cell with [`SimError::BudgetExhausted`].
+    pub max_steps: Option<u64>,
+    /// Maximum virtual seconds per load test of the attempt; exceeding it
+    /// fails the cell with [`SimError::BudgetExhausted`].
+    pub max_virtual_s: Option<f64>,
+    /// Span sink: every load test runs under a `cell.load_test` span (with
+    /// the user count as an argument) and the tuner and engines inherit
+    /// it. Tracing never changes the rows.
+    pub recorder: Recorder,
+    /// When given, every load test also records per-sample nTTFT/ITL and
+    /// per-phase prefill/decode durations here. Observation never changes
+    /// the rows.
+    pub hists: Option<&'a CellHists>,
+}
+
+/// Characterize one `(LLM, GPU profile)` cell: deploy, tune the batch
+/// weight, then load-test every user count.
+///
+/// Fault sites are derived from the cell identity *and* `ctx.attempt`
+/// (`{llm}/{profile}#a{attempt}` for deploy/tuning,
+/// `{llm}/{profile}/u{users}#a{attempt}` for each load test), so a retry
+/// draws fresh fault decisions — while the measurement seed (derived from
+/// the cell and user count only) stays fixed. An attempt that dodges its
+/// faults therefore produces rows bit-identical to a run under
+/// `CellContext::default()`.
 pub fn characterize_cell(
     llm: &LlmSpec,
     profile: &GpuProfile,
     sampler: &WorkloadSampler,
     config: &CharacterizeConfig,
+    ctx: &CellContext<'_>,
 ) -> CellOutcome {
-    characterize_cell_faulty(
-        llm,
-        profile,
-        sampler,
-        config,
-        &FaultPlan::none(),
-        0,
-        &CellBudget::unlimited(),
-    )
-}
-
-/// Fault-aware characterization of one cell, attempt number `attempt`.
-///
-/// Fault sites are derived from the cell identity *and* the attempt number
-/// (`{llm}/{profile}#a{attempt}` for deploy/tuning,
-/// `{llm}/{profile}/u{users}#a{attempt}` for each load test), so a retry
-/// draws fresh fault decisions — while the measurement seed
-/// ([`cell_seed`], attempt-independent) stays fixed. A retried attempt that
-/// dodges its faults therefore produces rows bit-identical to a fault-free
-/// run. With [`FaultPlan::none`] and an unlimited budget this is exactly
-/// [`characterize_cell`].
-pub fn characterize_cell_faulty(
-    llm: &LlmSpec,
-    profile: &GpuProfile,
-    sampler: &WorkloadSampler,
-    config: &CharacterizeConfig,
-    plan: &FaultPlan,
-    attempt: u32,
-    budget: &CellBudget,
-) -> CellOutcome {
-    characterize_cell_faulty_traced(
-        llm,
-        profile,
-        sampler,
-        config,
-        plan,
-        attempt,
-        budget,
-        &Recorder::disabled(),
-    )
-}
-
-/// [`characterize_cell_faulty`] with observability: every load test runs
-/// under a `cell.load_test` span (with the user count as an argument) and
-/// the engine inherits `recorder`, so engine-phase spans nest beneath the
-/// load test that produced them. Tracing never perturbs the measurement —
-/// the rows are bit-identical to an untraced run.
-#[allow(clippy::too_many_arguments)]
-pub fn characterize_cell_faulty_traced(
-    llm: &LlmSpec,
-    profile: &GpuProfile,
-    sampler: &WorkloadSampler,
-    config: &CharacterizeConfig,
-    plan: &FaultPlan,
-    attempt: u32,
-    budget: &CellBudget,
-    recorder: &Recorder,
-) -> CellOutcome {
-    characterize_cell_observed(llm, profile, sampler, config, plan, attempt, budget, recorder, None)
-}
-
-/// [`characterize_cell_faulty_traced`] with optional tail-latency
-/// observation: when `hists` is given, every load test additionally
-/// records per-sample nTTFT/ITL and per-phase prefill/decode durations
-/// into it. Observation never perturbs the measurement — rows stay
-/// bit-identical to an unobserved run.
-#[allow(clippy::too_many_arguments)]
-pub fn characterize_cell_observed(
-    llm: &LlmSpec,
-    profile: &GpuProfile,
-    sampler: &WorkloadSampler,
-    config: &CharacterizeConfig,
-    plan: &FaultPlan,
-    attempt: u32,
-    budget: &CellBudget,
-    recorder: &Recorder,
-    hists: Option<&CellHists>,
-) -> CellOutcome {
+    let CellContext { plan, attempt, recorder, hists, .. } = ctx;
     let cell = format!("{}/{}", llm.name, profile.name());
     let site = format!("{cell}#a{attempt}");
     let attempts = attempt + 1;
@@ -294,16 +235,25 @@ pub fn characterize_cell_observed(
             attempts,
         };
     }
-    let tuned = match tune_max_batch_weight_faulty_traced(&mem, plan, &site, recorder) {
+    // An injected OOM at the weight boundary: the real-world failure the
+    // tuner's corner-case probes guard against.
+    if plan.tuning_ooms(&site) {
+        let bound = mem.max_batch_weight_bound();
+        return CellOutcome::Failed {
+            error: SimError::OutOfMemory { running_weight: bound, max_batch_weight: bound },
+            attempts,
+        };
+    }
+    let tuned = match tune_max_batch_weight_traced(&mem, recorder) {
         Ok(t) => t,
         // No valid weight exists: a deterministic property of the
         // combination, i.e. infeasible — never retried.
         Err(e @ SimError::TuningFailed { .. }) => return CellOutcome::Infeasible(e.to_string()),
-        // Everything else (injected OOM, divergence) is a failure.
+        // Everything else (divergence) is a failure.
         Err(error) => return CellOutcome::Failed { error, attempts },
     };
 
-    let mut steps_left = budget.max_steps;
+    let mut steps_left = ctx.max_steps;
     let mut rows = Vec::with_capacity(config.user_sweep.len());
     for &users in &config.user_sweep {
         let _load_span = recorder.span("cell.load_test").arg("users", users);
@@ -321,7 +271,7 @@ pub fn characterize_cell_observed(
         );
         let mut faults = plan.load_faults(&load_site, config.duration_s);
         faults.max_steps = steps_left;
-        faults.max_virtual_s = budget.max_virtual_s;
+        faults.max_virtual_s = ctx.max_virtual_s;
         let result = run_load_test_observed(
             &mut engine,
             &mem,
@@ -365,36 +315,6 @@ pub fn characterize_cell_observed(
     CellOutcome::Measured { max_batch_weight: tuned.max_batch_weight, rows }
 }
 
-/// Run the full characterization sweep over an LLM × GPU-profile grid,
-/// parallelized over cells. Infeasible cells are skipped, like the paper's
-/// Table III.
-pub fn characterize(
-    llms: &[LlmSpec],
-    profiles: &[GpuProfile],
-    sampler: &WorkloadSampler,
-    config: &CharacterizeConfig,
-) -> CharacterizationDataset {
-    let cells: Vec<(LlmSpec, GpuProfile)> =
-        llms.iter().flat_map(|m| profiles.iter().map(move |p| (m.clone(), p.clone()))).collect();
-
-    type MeasuredCell = (String, String, u64, Vec<PerfRow>);
-    let results: Vec<Option<MeasuredCell>> = cells
-        .par_iter()
-        .map(|(llm, profile)| {
-            characterize_cell(llm, profile, sampler, config)
-                .measured()
-                .map(|(w, rows)| (llm.name.to_string(), profile.name(), w, rows))
-        })
-        .collect();
-
-    let mut ds = CharacterizationDataset::default();
-    for (llm, profile, weight, rows) in results.into_iter().flatten() {
-        ds.tuned_weights.insert((llm, profile), weight);
-        ds.rows.extend(rows);
-    }
-    ds
-}
-
 /// Estimate of the wall-clock overhead of running this characterization on
 /// *real* hardware (Sec. V-B "characterization overhead"): per LLM, batch
 /// weight tuning costs roughly `tuning_minutes_per_llm`, and load testing
@@ -414,6 +334,8 @@ pub fn estimate_real_overhead_hours(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::CharacterizationDataset;
+    use llmpilot_sim::fault::FaultConfig;
     use llmpilot_sim::gpu::{a100_40, t4, v100};
     use llmpilot_sim::llm::{flan_t5_xl, flan_ul2, llama2_13b, llama2_7b};
     use llmpilot_traces::{Param, TraceGenerator, TraceGeneratorConfig};
@@ -445,10 +367,15 @@ mod tests {
     #[test]
     fn cell_produces_one_row_per_user_count() {
         let s = sampler();
-        let (weight, rows) =
-            characterize_cell(&llama2_13b(), &GpuProfile::new(a100_40(), 1), &s, &quick_config())
-                .measured()
-                .unwrap();
+        let (weight, rows) = characterize_cell(
+            &llama2_13b(),
+            &GpuProfile::new(a100_40(), 1),
+            &s,
+            &quick_config(),
+            &CellContext::default(),
+        )
+        .measured()
+        .unwrap();
         assert!(weight > 0);
         assert_eq!(rows.len(), 3);
         for r in &rows {
@@ -465,12 +392,24 @@ mod tests {
     fn infeasible_cells_are_skipped() {
         let s = sampler();
         assert!(matches!(
-            characterize_cell(&flan_ul2(), &GpuProfile::new(t4(), 1), &s, &quick_config()),
+            characterize_cell(
+                &flan_ul2(),
+                &GpuProfile::new(t4(), 1),
+                &s,
+                &quick_config(),
+                &CellContext::default()
+            ),
             CellOutcome::Infeasible(_)
         ));
         // Flash model on V100: software-unsupported.
         assert!(matches!(
-            characterize_cell(&llama2_7b(), &GpuProfile::new(v100(), 1), &s, &quick_config()),
+            characterize_cell(
+                &llama2_7b(),
+                &GpuProfile::new(v100(), 1),
+                &s,
+                &quick_config(),
+                &CellContext::default()
+            ),
             CellOutcome::Infeasible(_)
         ));
     }
@@ -480,21 +419,40 @@ mod tests {
         // Regression: a load-test error used to be swallowed by `.ok()?`,
         // making an errored cell indistinguishable from a permanently
         // infeasible one. It must surface as a retryable `Failed`.
-        use llmpilot_sim::fault::{FaultConfig, FaultPlan};
         let s = sampler();
         let plan = FaultPlan::new(FaultConfig { crash_prob: 1.0, ..FaultConfig::disabled() });
-        let out = characterize_cell_faulty(
+        let ctx = CellContext { plan, ..CellContext::default() };
+        let out = characterize_cell(
             &llama2_13b(),
             &GpuProfile::new(a100_40(), 1),
             &s,
             &quick_config(),
-            &plan,
-            0,
-            &CellBudget::unlimited(),
+            &ctx,
         );
         match out {
             CellOutcome::Failed { error, attempts } => {
-                assert!(matches!(error, llmpilot_sim::error::SimError::EngineCrashed { .. }));
+                assert!(matches!(error, SimError::EngineCrashed { .. }));
+                assert_eq!(attempts, 1);
+            }
+            other => panic!("expected Failed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn injected_tuning_oom_is_transient() {
+        let s = sampler();
+        let plan = FaultPlan::new(FaultConfig { tuning_oom_prob: 1.0, ..FaultConfig::disabled() });
+        let ctx = CellContext { plan, ..CellContext::default() };
+        let out = characterize_cell(
+            &llama2_13b(),
+            &GpuProfile::new(a100_40(), 1),
+            &s,
+            &quick_config(),
+            &ctx,
+        );
+        match out {
+            CellOutcome::Failed { error, attempts } => {
+                assert!(matches!(error, SimError::OutOfMemory { .. }), "{error:?}");
                 assert_eq!(attempts, 1);
             }
             other => panic!("expected Failed, got {other:?}"),
@@ -504,18 +462,17 @@ mod tests {
     #[test]
     fn exhausted_step_budget_is_failed() {
         let s = sampler();
-        let out = characterize_cell_faulty(
+        let ctx = CellContext { max_steps: Some(10), ..CellContext::default() };
+        let out = characterize_cell(
             &llama2_13b(),
             &GpuProfile::new(a100_40(), 1),
             &s,
             &quick_config(),
-            &FaultPlan::none(),
-            0,
-            &CellBudget { max_steps: Some(10), max_virtual_s: None },
+            &ctx,
         );
         match out {
             CellOutcome::Failed { error, .. } => {
-                assert!(matches!(error, llmpilot_sim::error::SimError::BudgetExhausted { .. }));
+                assert!(matches!(error, SimError::BudgetExhausted { .. }));
             }
             other => panic!("expected Failed, got {other:?}"),
         }
@@ -526,29 +483,35 @@ mod tests {
         let s = sampler();
         let llm = llama2_13b();
         let profile = GpuProfile::new(a100_40(), 1);
-        let plain = characterize_cell(&llm, &profile, &s, &quick_config());
-        let faulty = characterize_cell_faulty(
-            &llm,
-            &profile,
-            &s,
-            &quick_config(),
-            &FaultPlan::none(),
-            0,
-            &CellBudget::unlimited(),
-        );
-        assert_eq!(plain, faulty);
-        // And a later attempt number changes nothing without faults — the
-        // measurement seed is attempt-independent.
-        let retry = characterize_cell_faulty(
-            &llm,
-            &profile,
-            &s,
-            &quick_config(),
-            &FaultPlan::none(),
-            3,
-            &CellBudget::unlimited(),
-        );
-        assert_eq!(plain, retry);
+        let plain = characterize_cell(&llm, &profile, &s, &quick_config(), &Default::default());
+        // An explicit no-fault, unlimited context at attempt 0 and at a
+        // later attempt changes nothing — the measurement seed is
+        // attempt-independent.
+        for attempt in [0, 3] {
+            let ctx = CellContext {
+                plan: FaultPlan::none(),
+                attempt,
+                max_steps: None,
+                max_virtual_s: None,
+                recorder: Recorder::disabled(),
+                hists: None,
+            };
+            assert_eq!(plain, characterize_cell(&llm, &profile, &s, &quick_config(), &ctx));
+        }
+    }
+
+    fn sweep(
+        llms: &[LlmSpec],
+        profiles: &[GpuProfile],
+        s: &WorkloadSampler,
+    ) -> CharacterizationDataset {
+        crate::sweep::SweepDriver::builder(llms, profiles, s)
+            .config(quick_config())
+            .build()
+            .unwrap()
+            .run()
+            .unwrap()
+            .0
     }
 
     #[test]
@@ -556,7 +519,7 @@ mod tests {
         let s = sampler();
         let llms = vec![flan_t5_xl(), llama2_7b()];
         let profiles = vec![GpuProfile::new(t4(), 1), GpuProfile::new(a100_40(), 1)];
-        let ds = characterize(&llms, &profiles, &s, &quick_config());
+        let ds = sweep(&llms, &profiles, &s);
         // flan-t5-xl fits both; llama-2-7b does not fit 1xT4.
         assert!(ds.cell_feasible("google/flan-t5-xl", "1xT4-16GB"));
         assert!(ds.cell_feasible("google/flan-t5-xl", "1xA100-40GB"));
@@ -571,9 +534,7 @@ mod tests {
         let s = sampler();
         let llms = vec![llama2_7b()];
         let profiles = vec![GpuProfile::new(a100_40(), 1)];
-        let a = characterize(&llms, &profiles, &s, &quick_config());
-        let b = characterize(&llms, &profiles, &s, &quick_config());
-        assert_eq!(a, b);
+        assert_eq!(sweep(&llms, &profiles, &s), sweep(&llms, &profiles, &s));
     }
 
     #[test]

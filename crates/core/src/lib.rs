@@ -33,8 +33,7 @@ pub mod weights;
 
 pub use autoscale::{diurnal_demand, simulate_autoscaler, AutoscaleOutcome, AutoscalerConfig};
 pub use characterize::{
-    characterize, characterize_cell, characterize_cell_faulty, characterize_cell_faulty_traced,
-    characterize_cell_observed, CellBudget, CellHists, CellOutcome, CharacterizeConfig,
+    characterize_cell, CellContext, CellHists, CellOutcome, CharacterizeConfig,
     WorkloadRequestSource,
 };
 pub use dataset::{CharacterizationDataset, PerfRow};

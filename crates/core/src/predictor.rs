@@ -250,8 +250,9 @@ pub fn tune_hyperparameters(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::characterize::{characterize, CharacterizeConfig};
+    use crate::characterize::CharacterizeConfig;
     use crate::dataset::CharacterizationDataset;
+    use crate::sweep::SweepDriver;
     use llmpilot_sim::gpu::{a100_40, h100, t4, GpuProfile};
     use llmpilot_sim::llm::{flan_t5_xl, flan_t5_xxl, llama2_13b, llama2_7b, starcoder};
     use llmpilot_traces::{Param, TraceGenerator, TraceGeneratorConfig};
@@ -281,7 +282,13 @@ mod tests {
             user_sweep: vec![1, 4, 16, 64],
             ..CharacterizeConfig::default()
         };
-        characterize(&llms, &profiles, &sampler, &config)
+        SweepDriver::builder(&llms, &profiles, &sampler)
+            .config(config)
+            .build()
+            .unwrap()
+            .run()
+            .unwrap()
+            .0
     }
 
     #[test]

@@ -135,7 +135,8 @@ pub fn online_predictor_config() -> PredictorConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::characterize::{characterize, CharacterizeConfig};
+    use crate::characterize::CharacterizeConfig;
+    use crate::sweep::SweepDriver;
     use llmpilot_sim::gpu::{a100_40, h100, t4};
     use llmpilot_sim::llm::{flan_t5_xl, llama2_13b, llama2_7b};
     use llmpilot_traces::{Param, TraceGenerator, TraceGeneratorConfig};
@@ -165,7 +166,13 @@ mod tests {
             user_sweep: vec![1, 4, 16, 64],
             ..CharacterizeConfig::default()
         };
-        characterize(&llms, &profiles, &sampler, &config)
+        SweepDriver::builder(&llms, &profiles, &sampler)
+            .config(config)
+            .build()
+            .unwrap()
+            .run()
+            .unwrap()
+            .0
     }
 
     fn assert_send_sync<T: Send + Sync>() {}

@@ -1,14 +1,15 @@
-//! Fault-tolerant, resumable characterization sweeps.
+//! Fault-tolerant, resumable characterization sweeps — the one way to run
+//! the characterization over an `LLM × GPU profile` grid.
 //!
 //! On real hardware a full characterization sweep (Sec. V-B: hours of GPU
 //! time) is exactly the kind of job that dies halfway: pods crash, deploys
 //! fail transiently, a cell OOMs at the batch-weight boundary. The
-//! [`SweepDriver`] wraps
-//! [`characterize_cell_faulty`](crate::characterize::characterize_cell_faulty)
-//! with per-cell retry
-//! (exponential *virtual* backoff — no wall-clock sleeping in a simulator),
-//! per-cell step/virtual-time budgets, and a CSV journal so an interrupted
-//! sweep resumes where it left off without recomputing finished cells.
+//! [`SweepDriver`] runs [`characterize_cell`] on every cell with per-cell
+//! retry (exponential *virtual* backoff — no wall-clock sleeping in a
+//! simulator), per-cell step/virtual-time budgets, and a CSV journal so an
+//! interrupted sweep resumes where it left off without recomputing finished
+//! cells. Each cell's journal lines are appended and synced the moment the
+//! cell finishes, so a killed sweep loses at most the cells still running.
 //!
 //! Determinism guarantees, pinned by proptests in `tests/`:
 //!
@@ -21,8 +22,11 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::path::PathBuf;
+use std::fs::{File, OpenOptions};
+use std::io::Write as _;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use rayon::prelude::*;
@@ -37,7 +41,7 @@ use llmpilot_sim::llm::LlmSpec;
 use llmpilot_workload::WorkloadSampler;
 
 use crate::characterize::{
-    characterize_cell_observed, CellBudget, CellHists, CellOutcome, CharacterizeConfig,
+    characterize_cell, CellContext, CellHists, CellOutcome, CharacterizeConfig,
 };
 use crate::dataset::{CharacterizationDataset, PerfRow};
 use crate::error::CoreError;
@@ -464,6 +468,61 @@ fn parse_journal_line(
     Ok(())
 }
 
+/// Write `contents` to `path` so that a crash leaves either the old file or
+/// the new one, never a torn mix: write a sibling temp file, sync it, rename
+/// it over `path`, then sync the directory.
+pub fn write_atomic(path: &Path, contents: &[u8]) -> std::io::Result<()> {
+    let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
+    tmp_name.push(".tmp");
+    let tmp = path.with_file_name(tmp_name);
+    let mut file = File::create(&tmp)?;
+    file.write_all(contents)?;
+    file.sync_all()?;
+    std::fs::rename(&tmp, path)?;
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()
+}
+
+/// The append-only journal of one [`SweepDriver::run`], shared by the
+/// cells of the run through a lock.
+struct Journal {
+    path: PathBuf,
+    file: Mutex<File>,
+}
+
+impl Journal {
+    /// Open `path` for appending. When `heal` holds the cells parsed from a
+    /// torn journal, first replace the file with exactly those cells —
+    /// appending after a torn fragment would glue the next marker onto it.
+    fn open(path: &Path, heal: Option<&CellMap>) -> Result<Self, CoreError> {
+        if let Some(cells) = heal {
+            let text: String = cells
+                .iter()
+                .map(|((llm, profile), status)| journal_lines(llm, profile, status))
+                .collect();
+            write_atomic(path, text.as_bytes())
+                .map_err(|e| CoreError::Io(format!("rewriting journal {path:?}: {e}")))?;
+        }
+        let file = OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)
+            .map_err(|e| CoreError::Io(format!("opening journal {path:?}: {e}")))?;
+        Ok(Self { path: path.to_path_buf(), file: Mutex::new(file) })
+    }
+
+    /// Append one cell's lines and sync them to disk.
+    fn append(&self, lines: &str) -> Result<(), CoreError> {
+        let mut file = self.file.lock().expect("a journal writer panicked mid-append");
+        file.write_all(lines.as_bytes())
+            .and_then(|()| file.sync_data())
+            .map_err(|e| CoreError::Io(format!("appending journal {:?}: {e}", self.path)))
+    }
+}
+
 /// Shared progress state of one [`SweepDriver::run`]: completed-cell count
 /// (cells resumed from the journal count as done), plus wall-clock cell
 /// durations feeding the ETA estimate in `cell.finished` events.
@@ -590,31 +649,6 @@ impl<'a> SweepDriver<'a> {
         }
     }
 
-    /// Build a driver over the `llms × profiles` grid.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the options fail validation. Prefer
-    /// [`SweepDriver::builder`], which returns a typed error instead.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `SweepDriver::builder(..).config(..).options(..).build()?` \
-                for validated, non-panicking construction"
-    )]
-    pub fn new(
-        llms: &'a [LlmSpec],
-        profiles: &'a [GpuProfile],
-        sampler: &'a WorkloadSampler,
-        config: CharacterizeConfig,
-        options: SweepOptions,
-    ) -> Self {
-        Self::builder(llms, profiles, sampler)
-            .config(config)
-            .options(options)
-            .build()
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Run one cell to completion: retry with exponential virtual backoff
     /// until measured, infeasible, or out of attempts. Returns the status,
     /// the backoff accrued, and the cell's tail quantiles.
@@ -647,11 +681,15 @@ impl<'a> SweepDriver<'a> {
         let cell_rec: Recorder =
             flight.as_ref().map_or_else(|| recorder.clone(), |(fl, _)| fl.recorder().clone());
 
-        let budget = CellBudget {
+        let hists = CellHists::default();
+        let mut ctx = CellContext {
+            plan: self.options.plan.clone(),
+            attempt: 0,
             max_steps: self.options.max_steps_per_cell,
             max_virtual_s: self.options.max_virtual_s_per_cell,
+            recorder: cell_rec,
+            hists: Some(&hists),
         };
-        let hists = CellHists::default();
         let mut backoff = 0.0;
         let mut attempt = 0;
         let status = loop {
@@ -661,19 +699,10 @@ impl<'a> SweepDriver<'a> {
                 u64::from(attempt + 1),
                 u64::from(self.options.max_attempts),
             );
+            ctx.attempt = attempt;
             let outcome = {
-                let _attempt_span = cell_rec.span("sweep.attempt").arg("attempt", attempt + 1);
-                characterize_cell_observed(
-                    llm,
-                    profile,
-                    self.sampler,
-                    &self.config,
-                    &self.options.plan,
-                    attempt,
-                    &budget,
-                    &cell_rec,
-                    Some(&hists),
-                )
+                let _attempt_span = ctx.recorder.span("sweep.attempt").arg("attempt", attempt + 1);
+                characterize_cell(llm, profile, self.sampler, &self.config, &ctx)
             };
             attempt += 1;
             match outcome {
@@ -707,11 +736,11 @@ impl<'a> SweepDriver<'a> {
                         step,
                         &error.to_string(),
                     );
-                    cell_rec.counter_add("sweep.retries", 1);
+                    ctx.recorder.counter_add("sweep.retries", 1);
                     // Virtual backoff is never slept, so the span marks the
                     // decision point (zero wall-clock width) and carries the
                     // virtual wait as an argument.
-                    drop(cell_rec.span("sweep.backoff").arg("backoff_virtual_s", step));
+                    drop(ctx.recorder.span("sweep.backoff").arg("backoff_virtual_s", step));
                 }
             }
         };
@@ -764,6 +793,10 @@ impl<'a> SweepDriver<'a> {
             }
             _ => (BTreeMap::new(), false),
         };
+        let journal = match &self.options.journal_path {
+            Some(path) => Some(Journal::open(path, journal_dirty.then_some(&done))?),
+            None => None,
+        };
         let resumed = done.len();
         run_span.set_arg("resumed", resumed as u64);
         self.options.events.sweep_started(
@@ -786,40 +819,23 @@ impl<'a> SweepDriver<'a> {
         let results: Vec<CellResult> = todo
             .par_iter()
             .map(|(llm, profile)| {
-                ((llm.name.to_string(), profile.name()), self.run_cell(llm, profile, &progress))
+                let key = (llm.name.to_string(), profile.name());
+                let result = self.run_cell(llm, profile, &progress);
+                // Journal each cell as soon as it finishes, so a killed
+                // sweep loses only the cells still running.
+                if let Some(journal) = &journal {
+                    journal.append(&journal_lines(&key.0, &key.1, &result.0))?;
+                }
+                Ok((key, result))
             })
-            .collect();
+            .collect::<Result<_, CoreError>>()?;
 
-        // Append the new cells to the journal (grid order) before reporting.
         let mut backoff_virtual_s = 0.0;
-        let mut journal_append = String::new();
         let mut tails = BTreeMap::new();
         for ((llm, profile), (status, backoff, cell_tails)) in results {
             backoff_virtual_s += backoff;
-            journal_append.push_str(&journal_lines(&llm, &profile, &status));
             tails.insert((llm.clone(), profile.clone()), cell_tails);
             done.insert((llm, profile), status);
-        }
-        if let Some(path) = &self.options.journal_path {
-            if journal_dirty {
-                // Heal a torn journal: rewrite it whole from every known
-                // cell rather than appending after the torn fragment.
-                let mut full = String::new();
-                for ((llm, profile), status) in &done {
-                    full.push_str(&journal_lines(llm, profile, status));
-                }
-                std::fs::write(path, full)
-                    .map_err(|e| CoreError::Io(format!("rewriting journal {path:?}: {e}")))?;
-            } else if !journal_append.is_empty() {
-                use std::io::Write as _;
-                let mut file = std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(path)
-                    .map_err(|e| CoreError::Io(format!("opening journal {path:?}: {e}")))?;
-                file.write_all(journal_append.as_bytes())
-                    .map_err(|e| CoreError::Io(format!("appending journal {path:?}: {e}")))?;
-            }
         }
 
         // Assemble dataset and report in grid order.
@@ -913,7 +929,19 @@ mod tests {
         let (llms, profiles) = grid();
         let driver = driver(&llms, &profiles, &s, quick_config(), SweepOptions::default());
         let (ds, report) = driver.run().unwrap();
-        let plain = crate::characterize::characterize(&llms, &profiles, &s, &quick_config());
+        // Reference: the plain cells assembled in grid order, infeasible
+        // cells skipped.
+        let mut plain = CharacterizationDataset::default();
+        for llm in &llms {
+            for profile in &profiles {
+                let outcome =
+                    characterize_cell(llm, profile, &s, &quick_config(), &CellContext::default());
+                if let Some((weight, rows)) = outcome.measured() {
+                    plain.tuned_weights.insert((llm.name.to_string(), profile.name()), weight);
+                    plain.rows.extend(rows);
+                }
+            }
+        }
         assert_eq!(ds, plain);
         assert!(report.is_complete());
         assert_eq!(report.measured(), 3); // llama2-7b doesn't fit 1xT4
@@ -1172,29 +1200,6 @@ mod tests {
         expect_invalid(bad_duration, "duration_s");
         // And valid defaults build fine.
         assert!(build(SweepOptions::default()).is_ok());
-    }
-
-    /// The deprecated positional constructor must keep forwarding to the
-    /// builder (and keep panicking on bad options) until it is removed.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_new_forwards_to_the_builder() {
-        let s = sampler();
-        let (llms, profiles) = grid();
-        let d = SweepDriver::new(&llms, &profiles, &s, quick_config(), SweepOptions::default());
-        let (ds, report) = d.run().unwrap();
-        assert!(report.is_complete());
-        assert!(!ds.is_empty());
-        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            SweepDriver::new(
-                &llms,
-                &profiles,
-                &s,
-                quick_config(),
-                SweepOptions { max_attempts: 0, ..SweepOptions::default() },
-            )
-        }));
-        assert!(panicked.is_err(), "new() must panic on invalid options");
     }
 
     #[test]

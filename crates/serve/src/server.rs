@@ -518,7 +518,10 @@ fn handle_recommend(ctx: &Ctx, request: &Request) -> Response {
         return Response::json(503, "{\"error\":\"model not trained yet\"}".into())
             .with_header("Retry-After", "1");
     };
-    let dataset_generation = ctx.store.generation();
+    // The model's own generation, not the store's: a reload landing after
+    // `current()` would otherwise tag an old model's answer with a new
+    // dataset generation.
+    let dataset_generation = trained.dataset_generation;
 
     let key: CacheKey = (
         model_name.to_string(),

@@ -13,7 +13,7 @@ use crate::error::SimError;
 use crate::fault::FaultPlan;
 use crate::gpu::GpuProfile;
 use crate::llm::LlmSpec;
-use crate::load::{run_load_test_faulty, LoadMetrics, LoadTestConfig};
+use crate::load::{run_load_test_observed, LoadMetrics, LoadTestConfig};
 use crate::memory::{MemoryConfig, MemoryModel};
 use crate::perf_model::{PerfModel, PerfModelConfig};
 use crate::request::RequestSource;
@@ -135,26 +135,13 @@ impl Deployment {
     /// Load-test the deployment with `total_users` concurrent users split
     /// across pods. `make_source` builds an independent request source for
     /// each pod (typically seeded by the pod index). Pods run in parallel.
+    ///
+    /// Under a [`FaultPlan`], individual pods may be down for the whole test
+    /// (decided up front, deterministically per `site`/pod index) with their
+    /// traffic re-balanced onto the survivors, surviving pods may crash or
+    /// OOM mid-test, and step times pick up latency noise. With
+    /// [`FaultPlan::none`] the `site` is irrelevant and no fault fires.
     pub fn run_load_test<S, F>(
-        &self,
-        total_users: u32,
-        duration_s: f64,
-        make_source: F,
-    ) -> Result<ClusterMetrics, SimError>
-    where
-        S: RequestSource + Send,
-        F: Fn(usize) -> S + Sync,
-    {
-        self.run_load_test_faulty(total_users, duration_s, make_source, &FaultPlan::none(), "")
-    }
-
-    /// Fault-aware variant of [`Self::run_load_test`]: under a [`FaultPlan`],
-    /// individual pods may be down for the whole test (decided up front,
-    /// deterministically per `site`/pod index) with their traffic re-balanced
-    /// onto the survivors, surviving pods may crash or OOM mid-test, and
-    /// step times pick up latency noise. With [`FaultPlan::none`] this is
-    /// bit-identical to the plain load test.
-    pub fn run_load_test_faulty<S, F>(
         &self,
         total_users: u32,
         duration_s: f64,
@@ -190,7 +177,8 @@ impl Deployment {
                 let mut source = make_source(i);
                 let config = LoadTestConfig { duration_s, warmup_s: 0.0, concurrent_users: users };
                 let mut faults = plan.load_faults(&pod_site, duration_s);
-                run_load_test_faulty(&mut engine, &mem, &mut source, &config, &mut faults).map(Some)
+                run_load_test_observed(&mut engine, &mem, &mut source, &config, &mut faults, None)
+                    .map(Some)
             })
             .collect();
         let per_pod: Vec<LoadMetrics> = results?.into_iter().flatten().collect();
@@ -244,8 +232,8 @@ mod tests {
         // have nearly identical throughput per pod.
         let d1 = Deployment::new(llama2_13b(), GpuProfile::new(a100_80(), 1), 1).unwrap();
         let d2 = Deployment::new(llama2_13b(), GpuProfile::new(a100_80(), 1), 2).unwrap();
-        let m1 = d1.run_load_test(8, 120.0, source).unwrap();
-        let m2 = d2.run_load_test(16, 120.0, source).unwrap();
+        let m1 = d1.run_load_test(8, 120.0, source, &FaultPlan::none(), "").unwrap();
+        let m2 = d2.run_load_test(16, 120.0, source, &FaultPlan::none(), "").unwrap();
         let rel = (m1.throughput_per_pod - m2.throughput_per_pod).abs()
             / m1.throughput_per_pod.max(m2.throughput_per_pod);
         assert!(rel < 0.05, "relative deviation {rel}");
@@ -254,7 +242,7 @@ mod tests {
     #[test]
     fn total_throughput_sums_pods() {
         let d = Deployment::new(llama2_13b(), GpuProfile::new(a100_80(), 1), 4).unwrap();
-        let m = d.run_load_test(32, 60.0, source).unwrap();
+        let m = d.run_load_test(32, 60.0, source, &FaultPlan::none(), "").unwrap();
         assert_eq!(m.per_pod.len(), 4);
         let sum: f64 = m.per_pod.iter().map(|p| p.throughput_tokens_per_s).sum();
         assert!((m.total_throughput - sum).abs() < 1e-9);
@@ -264,7 +252,7 @@ mod tests {
     #[test]
     fn zero_user_pods_are_skipped() {
         let d = Deployment::new(llama2_13b(), GpuProfile::new(a100_80(), 1), 8).unwrap();
-        let m = d.run_load_test(2, 30.0, source).unwrap();
+        let m = d.run_load_test(2, 30.0, source, &FaultPlan::none(), "").unwrap();
         assert_eq!(m.per_pod.len(), 2);
     }
 
@@ -276,17 +264,12 @@ mod tests {
     }
 
     #[test]
-    fn none_plan_cluster_is_bit_identical() {
+    fn none_plan_ignores_the_site() {
         let d = Deployment::new(llama2_13b(), GpuProfile::new(a100_80(), 1), 3).unwrap();
-        let plain = d.run_load_test(12, 60.0, source).unwrap();
-        let faulty =
-            d.run_load_test_faulty(12, 60.0, source, &FaultPlan::none(), "cluster/x").unwrap();
-        assert_eq!(faulty.failed_pods, 0);
-        assert_eq!(plain.per_pod.len(), faulty.per_pod.len());
-        assert_eq!(plain.total_throughput, faulty.total_throughput);
-        for (a, b) in plain.per_pod.iter().zip(&faulty.per_pod) {
-            assert_eq!(a, b);
-        }
+        let plain = d.run_load_test(12, 60.0, source, &FaultPlan::none(), "").unwrap();
+        let sited = d.run_load_test(12, 60.0, source, &FaultPlan::none(), "cluster/x").unwrap();
+        assert_eq!(sited.failed_pods, 0);
+        assert_eq!(plain, sited);
     }
 
     #[test]
@@ -297,7 +280,7 @@ mod tests {
             ..crate::fault::FaultConfig::disabled()
         });
         assert_eq!(
-            d.run_load_test_faulty(8, 30.0, source, &plan, "cluster/x"),
+            d.run_load_test(8, 30.0, source, &plan, "cluster/x"),
             Err(SimError::AllPodsFailed { pods: 2 })
         );
     }
@@ -320,7 +303,7 @@ mod tests {
                 (1..=3).contains(&down)
             })
             .expect("some seed must down 1..=3 of 4 pods");
-        let m = d.run_load_test_faulty(16, 60.0, source, &plan, "cluster/x").unwrap();
+        let m = d.run_load_test(16, 60.0, source, &plan, "cluster/x").unwrap();
         assert!(m.failed_pods >= 1 && m.failed_pods <= 3);
         // All 16 users were re-balanced onto the survivors.
         assert_eq!(m.per_pod.len(), 4 - m.failed_pods as usize);
@@ -332,8 +315,8 @@ mod tests {
     fn more_pods_serve_more_users_at_same_per_user_rate() {
         let d1 = Deployment::new(llama2_13b(), GpuProfile::new(a100_80(), 1), 1).unwrap();
         let d4 = Deployment::new(llama2_13b(), GpuProfile::new(a100_80(), 1), 4).unwrap();
-        let m1 = d1.run_load_test(128, 120.0, source).unwrap();
-        let m4 = d4.run_load_test(128, 120.0, source).unwrap();
+        let m1 = d1.run_load_test(128, 120.0, source, &FaultPlan::none(), "").unwrap();
+        let m4 = d4.run_load_test(128, 120.0, source, &FaultPlan::none(), "").unwrap();
         // Four pods at 32 users each beat one saturated pod at 128 users.
         assert!(m4.total_throughput > m1.total_throughput);
     }

@@ -261,7 +261,7 @@ impl OomFault {
 }
 
 /// Fault state threaded through one load test; see
-/// [`crate::load::run_load_test_faulty`].
+/// [`crate::load::run_load_test_observed`].
 #[derive(Debug, Clone)]
 pub struct LoadFaults {
     /// Virtual time at which the engine crashes (pre-drawn), if any.
@@ -277,13 +277,12 @@ pub struct LoadFaults {
     /// seconds (a guard against runaway windows).
     pub max_virtual_s: Option<f64>,
     /// Engine iterations consumed by the load test (written back by
-    /// `run_load_test_faulty`; cumulative across calls reusing the value).
+    /// `run_load_test_observed`; cumulative across calls reusing the value).
     pub steps_used: u64,
 }
 
 impl LoadFaults {
-    /// No crash, no OOM, no step budget — the exact behaviour of a plain
-    /// [`crate::load::run_load_test`].
+    /// No crash, no OOM, no budget: a load test that injects nothing.
     pub fn none() -> Self {
         LoadFaults {
             crash_at: None,

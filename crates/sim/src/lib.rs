@@ -19,9 +19,8 @@
 //! let llm = llm::llama2_13b();
 //! let profile = GpuProfile::new(gpu::a100_80(), 1);
 //! let deployment = Deployment::new(llm, profile, 1).unwrap();
-//! let metrics = deployment
-//!     .run_load_test(4, 30.0, |_pod| FixedSource::constant(RequestSpec::new(300, 100)))
-//!     .unwrap();
+//! let source = |_pod| FixedSource::constant(RequestSpec::new(300, 100));
+//! let metrics = deployment.run_load_test(4, 30.0, source, &FaultPlan::none(), "").unwrap();
 //! assert!(metrics.total_throughput > 0.0);
 //! ```
 
@@ -45,12 +44,9 @@ pub mod prelude {
     pub use crate::fault::{FaultConfig, FaultPlan, LatencyNoise, LoadFaults};
     pub use crate::gpu::{self, GpuProfile, GpuSpec};
     pub use crate::llm::{self, LlmSpec};
-    pub use crate::load::{
-        run_load_test, run_load_test_faulty, run_load_test_observed, LoadMetrics, LoadTestConfig,
-        SampleHists,
-    };
+    pub use crate::load::{run_load_test_observed, LoadMetrics, LoadTestConfig, SampleHists};
     pub use crate::memory::{Feasibility, MemoryConfig, MemoryModel};
     pub use crate::perf_model::{PerfModel, PerfModelConfig};
     pub use crate::request::{FixedSource, RequestSource, RequestSpec};
-    pub use crate::tuner::{tune_max_batch_weight, tune_max_batch_weight_faulty, TuningOutcome};
+    pub use crate::tuner::{tune_max_batch_weight, TuningOutcome};
 }

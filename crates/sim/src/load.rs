@@ -58,30 +58,10 @@ pub struct LoadMetrics {
     pub throughput_tokens_per_s: f64,
     /// Median end-to-end latency of completed requests, seconds (Fig. 1).
     pub e2e_median_s: f64,
-    /// 90th-percentile TTFT, seconds (tail behaviour under queueing).
-    pub ttft_p90_s: f64,
-    /// 99th-percentile TTFT, seconds.
-    pub ttft_p99_s: f64,
-    /// 90th-percentile inter-token latency, seconds.
-    pub itl_p90_s: f64,
-    /// 99th-percentile inter-token latency, seconds.
-    pub itl_p99_s: f64,
     /// Number of requests that completed within the window.
     pub completed_requests: u64,
     /// Total output tokens generated within the window.
     pub total_tokens: u64,
-}
-
-/// Percentile `q ∈ [0, 1]` of a sample (nearest-rank on the sorted data);
-/// `NaN` when empty. Sorts in place.
-pub fn percentile(values: &mut [f64], q: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&q), "percentile out of range");
-    if values.is_empty() {
-        return f64::NAN;
-    }
-    values.sort_by(|a, b| a.total_cmp(b));
-    let idx = ((values.len() - 1) as f64 * q).round() as usize;
-    values[idx]
 }
 
 /// Median of a sample; `NaN` when empty.
@@ -110,8 +90,8 @@ pub fn fit_request(mem: &MemoryModel, max_batch_weight: u64, spec: RequestSpec) 
 
 /// Optional per-sample sinks for a load test: every individual normalized
 /// TTFT and inter-token gap that contributes to [`LoadMetrics`] is also
-/// recorded here (virtual seconds → nanoseconds), giving true tail
-/// quantiles instead of only the fixed percentiles the metrics expose.
+/// recorded here (virtual seconds → nanoseconds), giving the tail
+/// quantiles the medians of the metrics do not show.
 #[derive(Debug, Default)]
 pub struct SampleHists {
     /// Normalized TTFT (TTFT / input tokens) per tracked request.
@@ -132,35 +112,14 @@ struct InFlight {
 /// Run one closed-loop load-testing experiment against a fresh engine.
 ///
 /// The engine's clock must start at 0; the experiment runs until the clock
-/// passes `config.duration_s`.
-pub fn run_load_test<S: RequestSource + ?Sized>(
-    engine: &mut Engine,
-    mem: &MemoryModel,
-    source: &mut S,
-    config: &LoadTestConfig,
-) -> Result<LoadMetrics, SimError> {
-    run_load_test_faulty(engine, mem, source, config, &mut LoadFaults::none())
-}
-
-/// [`run_load_test`] with fault injection: after every engine iteration the
-/// [`LoadFaults`] state is consulted for a scheduled crash, a near-capacity
-/// OOM, or an exceeded step budget, any of which aborts the experiment with
-/// the corresponding [`SimError`]. With [`LoadFaults::none`] the behaviour
-/// (and the produced metrics) are bit-identical to [`run_load_test`].
-pub fn run_load_test_faulty<S: RequestSource + ?Sized>(
-    engine: &mut Engine,
-    mem: &MemoryModel,
-    source: &mut S,
-    config: &LoadTestConfig,
-    faults: &mut LoadFaults,
-) -> Result<LoadMetrics, SimError> {
-    run_load_test_observed(engine, mem, source, config, faults, None)
-}
-
-/// [`run_load_test_faulty`] with optional per-sample observation: when
+/// passes `config.duration_s`. After every engine iteration `faults` is
+/// consulted for a scheduled crash, a near-capacity OOM, or an exceeded
+/// step or virtual-time budget, any of which aborts the experiment with the
+/// corresponding [`SimError`]; [`LoadFaults::none`] injects nothing. When
 /// `hists` is given, every normalized-TTFT and inter-token-latency sample
-/// (including censored TTFT lower bounds) is also recorded into the
-/// histograms. Observation never changes the returned metrics.
+/// (including censored TTFT lower bounds) is also recorded into it.
+/// Neither faults that do not fire nor observation change the returned
+/// metrics.
 pub fn run_load_test_observed<S: RequestSource + ?Sized>(
     engine: &mut Engine,
     mem: &MemoryModel,
@@ -275,10 +234,6 @@ pub fn run_load_test_observed<S: RequestSource + ?Sized>(
         itl_median_s: median(&mut gaps),
         throughput_tokens_per_s: total_tokens as f64 / elapsed,
         e2e_median_s: median(&mut e2es),
-        ttft_p90_s: percentile(&mut ttfts, 0.90),
-        ttft_p99_s: percentile(&mut ttfts, 0.99),
-        itl_p90_s: percentile(&mut gaps, 0.90),
-        itl_p99_s: percentile(&mut gaps, 0.99),
         completed_requests: completed,
         total_tokens,
     })
@@ -319,11 +274,13 @@ mod tests {
     fn single_user_metrics_are_sane() {
         let (mut e, mem) = setup(llama2_13b(), a100_80(), 1);
         let mut src = FixedSource::constant(RequestSpec::new(500, 200));
-        let m = run_load_test(
+        let m = run_load_test_observed(
             &mut e,
             &mem,
             &mut src,
             &LoadTestConfig { warmup_s: 0.0, duration_s: 60.0, concurrent_users: 1 },
+            &mut LoadFaults::none(),
+            None,
         )
         .unwrap();
         assert!(m.completed_requests > 0);
@@ -346,11 +303,13 @@ mod tests {
             RequestSpec::new(900, 300),
             RequestSpec::new(150, 60),
         ]);
-        let m1 = run_load_test(
+        let m1 = run_load_test_observed(
             &mut e,
             &mem,
             &mut src,
             &LoadTestConfig { warmup_s: 0.0, duration_s: 120.0, concurrent_users: 1 },
+            &mut LoadFaults::none(),
+            None,
         )
         .unwrap();
         assert!(
@@ -373,11 +332,13 @@ mod tests {
         for users in [1u32, 4, 16, 64, 128] {
             let (mut e, mem) = setup(llama2_13b(), a100_80(), 1);
             let mut src = mk();
-            let m = run_load_test(
+            let m = run_load_test_observed(
                 &mut e,
                 &mem,
                 &mut src,
                 &LoadTestConfig { duration_s: 120.0, warmup_s: 0.0, concurrent_users: users },
+                &mut LoadFaults::none(),
+                None,
             )
             .unwrap();
             tputs.push(m.throughput_tokens_per_s);
@@ -397,11 +358,13 @@ mod tests {
         let run = |users| {
             let (mut e, mem) = setup(llama2_13b(), a100_80(), 1);
             let mut src = mk();
-            run_load_test(
+            run_load_test_observed(
                 &mut e,
                 &mem,
                 &mut src,
                 &LoadTestConfig { duration_s: 120.0, warmup_s: 0.0, concurrent_users: users },
+                &mut LoadFaults::none(),
+                None,
             )
             .unwrap()
         };
@@ -418,11 +381,13 @@ mod tests {
         let run = |users| {
             let (mut e, mem) = setup(crate::llm::llama2_7b(), t4(), 2);
             let mut src = FixedSource::constant(RequestSpec::new(500, 150));
-            run_load_test(
+            run_load_test_observed(
                 &mut e,
                 &mem,
                 &mut src,
                 &LoadTestConfig { duration_s: 120.0, warmup_s: 0.0, concurrent_users: users },
+                &mut LoadFaults::none(),
+                None,
             )
             .unwrap()
         };
@@ -447,11 +412,13 @@ mod tests {
     fn nttft_is_ttft_scaled_by_input() {
         let (mut e, mem) = setup(llama2_13b(), a100_80(), 1);
         let mut src = FixedSource::constant(RequestSpec::new(1000, 50));
-        let m = run_load_test(
+        let m = run_load_test_observed(
             &mut e,
             &mem,
             &mut src,
             &LoadTestConfig { warmup_s: 0.0, duration_s: 30.0, concurrent_users: 1 },
+            &mut LoadFaults::none(),
+            None,
         )
         .unwrap();
         assert!((m.nttft_median_s - m.ttft_median_s / 1000.0).abs() < 1e-9);
@@ -463,29 +430,18 @@ mod tests {
     }
 
     #[test]
-    fn none_faults_reproduce_plain_run_bit_for_bit() {
-        let config = LoadTestConfig { warmup_s: 0.0, duration_s: 60.0, concurrent_users: 4 };
-        let (mut e1, mem) = setup(llama2_13b(), a100_80(), 1);
-        let mut s1 = FixedSource::constant(RequestSpec::new(500, 200));
-        let plain = run_load_test(&mut e1, &mem, &mut s1, &config).unwrap();
-        let (mut e2, _) = setup(llama2_13b(), a100_80(), 1);
-        let mut s2 = FixedSource::constant(RequestSpec::new(500, 200));
-        let mut faults = crate::fault::LoadFaults::none();
-        let faulty = run_load_test_faulty(&mut e2, &mem, &mut s2, &config, &mut faults).unwrap();
-        assert_eq!(plain, faulty);
-        assert!(faults.steps_used > 0);
-    }
-
-    #[test]
     fn observed_run_matches_plain_and_fills_histograms() {
         let config = LoadTestConfig { warmup_s: 0.0, duration_s: 60.0, concurrent_users: 4 };
         let (mut e1, mem) = setup(llama2_13b(), a100_80(), 1);
         let mut s1 = FixedSource::constant(RequestSpec::new(500, 200));
-        let plain = run_load_test(&mut e1, &mem, &mut s1, &config).unwrap();
+        let mut faults = LoadFaults::none();
+        let plain =
+            run_load_test_observed(&mut e1, &mem, &mut s1, &config, &mut faults, None).unwrap();
+        assert!(faults.steps_used > 0, "the load test reports the steps it used");
         let (mut e2, _) = setup(llama2_13b(), a100_80(), 1);
         let mut s2 = FixedSource::constant(RequestSpec::new(500, 200));
         let hists = SampleHists::default();
-        let mut faults = crate::fault::LoadFaults::none();
+        let mut faults = LoadFaults::none();
         let observed =
             run_load_test_observed(&mut e2, &mem, &mut s2, &config, &mut faults, Some(&hists))
                 .unwrap();
@@ -503,14 +459,15 @@ mod tests {
     fn scheduled_crash_aborts_the_test() {
         let (mut e, mem) = setup(llama2_13b(), a100_80(), 1);
         let mut src = FixedSource::constant(RequestSpec::new(500, 200));
-        let mut faults = crate::fault::LoadFaults::none();
+        let mut faults = LoadFaults::none();
         faults.crash_at = Some(10.0);
-        let err = run_load_test_faulty(
+        let err = run_load_test_observed(
             &mut e,
             &mem,
             &mut src,
             &LoadTestConfig { warmup_s: 0.0, duration_s: 60.0, concurrent_users: 4 },
             &mut faults,
+            None,
         )
         .unwrap_err();
         assert_eq!(err, SimError::EngineCrashed { at_s: 10.0 });
@@ -520,14 +477,15 @@ mod tests {
     fn step_budget_aborts_instead_of_hanging() {
         let (mut e, mem) = setup(llama2_13b(), a100_80(), 1);
         let mut src = FixedSource::constant(RequestSpec::new(500, 200));
-        let mut faults = crate::fault::LoadFaults::none();
+        let mut faults = LoadFaults::none();
         faults.max_steps = Some(5);
-        let err = run_load_test_faulty(
+        let err = run_load_test_observed(
             &mut e,
             &mem,
             &mut src,
             &LoadTestConfig { warmup_s: 0.0, duration_s: 600.0, concurrent_users: 8 },
             &mut faults,
+            None,
         )
         .unwrap_err();
         assert!(matches!(err, SimError::BudgetExhausted { .. }));
@@ -547,64 +505,15 @@ mod tests {
         let (mut e, mem) = setup(llama2_13b(), a100_80(), 1);
         let mut src = FixedSource::constant(RequestSpec::new(500, 200));
         let mut faults = plan.load_faults("load/x", 60.0);
-        let err = run_load_test_faulty(
+        let err = run_load_test_observed(
             &mut e,
             &mem,
             &mut src,
             &LoadTestConfig { warmup_s: 0.0, duration_s: 60.0, concurrent_users: 64 },
             &mut faults,
+            None,
         )
         .unwrap_err();
         assert!(matches!(err, SimError::OutOfMemory { .. }));
-    }
-}
-
-#[cfg(test)]
-mod percentile_tests {
-    use super::*;
-    use crate::gpu::{a100_80, GpuProfile};
-    use crate::llm::llama2_13b;
-    use crate::memory::{MemoryConfig, MemoryModel};
-    use crate::perf_model::{PerfModel, PerfModelConfig};
-    use crate::request::{FixedSource, RequestSpec};
-    use crate::tuner::tune_max_batch_weight;
-
-    #[test]
-    fn percentile_nearest_rank() {
-        let mut v: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(percentile(&mut v, 0.0), 1.0);
-        assert_eq!(percentile(&mut v, 1.0), 100.0);
-        assert_eq!(percentile(&mut v, 0.5), 51.0);
-        assert_eq!(percentile(&mut v, 0.9), 90.0);
-        assert!(percentile(&mut [], 0.5).is_nan());
-    }
-
-    #[test]
-    #[should_panic(expected = "percentile out of range")]
-    fn percentile_rejects_bad_q() {
-        let _ = percentile(&mut [1.0], 1.5);
-    }
-
-    #[test]
-    fn tail_latencies_dominate_medians() {
-        let llm = llama2_13b();
-        let profile = GpuProfile::new(a100_80(), 1);
-        let mem = MemoryModel::new(llm.clone(), profile.clone(), MemoryConfig::default());
-        let weight = tune_max_batch_weight(&mem).unwrap().max_batch_weight;
-        let perf = PerfModel::new(llm, profile, PerfModelConfig::default());
-        let mut engine = Engine::new(perf, weight);
-        let mut src =
-            FixedSource::new(vec![RequestSpec::new(200, 80), RequestSpec::new(1500, 400)]);
-        let m = run_load_test(
-            &mut engine,
-            &mem,
-            &mut src,
-            &LoadTestConfig { duration_s: 90.0, warmup_s: 0.0, concurrent_users: 32 },
-        )
-        .unwrap();
-        assert!(m.ttft_p90_s >= m.ttft_median_s);
-        assert!(m.ttft_p99_s >= m.ttft_p90_s);
-        assert!(m.itl_p90_s >= m.itl_median_s);
-        assert!(m.itl_p99_s >= m.itl_p90_s);
     }
 }

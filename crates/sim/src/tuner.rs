@@ -13,7 +13,6 @@
 use llmpilot_obs::Recorder;
 
 use crate::error::SimError;
-use crate::fault::FaultPlan;
 use crate::memory::MemoryModel;
 
 /// Result of a batch-weight tuning run.
@@ -173,38 +172,6 @@ pub fn tune_max_batch_weight_traced(
     Ok(TuningOutcome { max_batch_weight: lo, search_steps: steps, probes_evaluated: probes })
 }
 
-/// Fault-aware tuning: under a [`FaultPlan`], the run may abort with an OOM
-/// at the weight boundary (the real-world failure the corner-case probes
-/// guard against). With [`FaultPlan::none`] this is exactly
-/// [`tune_max_batch_weight`].
-pub fn tune_max_batch_weight_faulty(
-    mem: &MemoryModel,
-    plan: &FaultPlan,
-    site: &str,
-) -> Result<TuningOutcome, SimError> {
-    tune_max_batch_weight_faulty_traced(mem, plan, site, &Recorder::disabled())
-}
-
-/// [`tune_max_batch_weight_faulty`] with structured tracing; injected
-/// OOMs record a zero-work `tuner.tune` span flagged `injected_oom`.
-pub fn tune_max_batch_weight_faulty_traced(
-    mem: &MemoryModel,
-    plan: &FaultPlan,
-    site: &str,
-    recorder: &Recorder,
-) -> Result<TuningOutcome, SimError> {
-    if plan.tuning_ooms(site) {
-        let _span = recorder
-            .span("tuner.tune")
-            .arg("llm", mem.llm().name)
-            .arg("profile", mem.profile().name())
-            .arg("injected_oom", true);
-        let bound = mem.max_batch_weight_bound();
-        return Err(SimError::OutOfMemory { running_weight: bound, max_batch_weight: bound });
-    }
-    tune_max_batch_weight_traced(mem, recorder)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,22 +263,6 @@ mod tests {
             }
             other => panic!("expected TuningDiverged, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn injected_tuning_oom_is_transient() {
-        use crate::fault::{FaultConfig, FaultPlan};
-        let m = mem(llama2_13b(), a100_80(), 1);
-        let plan = FaultPlan::new(FaultConfig { tuning_oom_prob: 1.0, ..FaultConfig::disabled() });
-        assert!(matches!(
-            tune_max_batch_weight_faulty(&m, &plan, "tune/x"),
-            Err(SimError::OutOfMemory { .. })
-        ));
-        // The no-fault plan reproduces the plain tuner exactly.
-        assert_eq!(
-            tune_max_batch_weight_faulty(&m, &FaultPlan::none(), "tune/x").unwrap(),
-            tune_max_batch_weight(&m).unwrap()
-        );
     }
 
     #[test]

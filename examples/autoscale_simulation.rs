@@ -9,12 +9,12 @@
 use llm_pilot::core::autoscale::{diurnal_demand, simulate_autoscaler, AutoscalerConfig};
 use llm_pilot::core::evaluate::true_u_max;
 use llm_pilot::core::recommend::{parse_profile, LatencyConstraints};
-use llm_pilot::core::{characterize, CharacterizeConfig};
+use llm_pilot::core::SweepDriver;
 use llm_pilot::sim::llm::llama2_13b;
 use llm_pilot::traces::{Param, TraceGenerator, TraceGeneratorConfig};
 use llm_pilot::workload::{WorkloadModel, WorkloadSampler};
 
-fn main() {
+fn main() -> Result<(), llm_pilot::Error> {
     // 1. Measure the service's per-pod capacity under the SLA.
     let traces = TraceGenerator::new(TraceGeneratorConfig {
         num_requests: 60_000,
@@ -27,12 +27,10 @@ fn main() {
     let llm = llama2_13b();
     let profile_name = "2xA10-24GB";
     let profile = parse_profile(profile_name).expect("known profile");
-    let dataset = characterize(
-        std::slice::from_ref(&llm),
-        std::slice::from_ref(&profile),
-        &sampler,
-        &CharacterizeConfig::default(),
-    );
+    let (dataset, _) =
+        SweepDriver::builder(std::slice::from_ref(&llm), std::slice::from_ref(&profile), &sampler)
+            .build()?
+            .run()?;
     let constraints = LatencyConstraints::paper_defaults();
     let u_max = true_u_max(&dataset, llm.name, profile_name, &constraints)
         .expect("profile satisfies the SLA at some load");
@@ -64,4 +62,5 @@ fn main() {
         "\nmore headroom buys attainment (covering the startup lag on the\n\
          morning ramp) at a proportional cost premium"
     );
+    Ok(())
 }

@@ -8,13 +8,13 @@
 
 use llm_pilot::core::evaluate::oracle_recommendation;
 use llm_pilot::core::recommend::{LatencyConstraints, RecommendationRequest};
-use llm_pilot::core::{characterize, CharacterizeConfig};
+use llm_pilot::core::SweepDriver;
 use llm_pilot::sim::gpu::paper_profiles;
 use llm_pilot::sim::llm::{llm_by_name, llm_catalog};
 use llm_pilot::traces::{Param, TraceGenerator, TraceGeneratorConfig};
 use llm_pilot::workload::{WorkloadModel, WorkloadSampler};
 
-fn main() {
+fn main() -> Result<(), llm_pilot::Error> {
     let target = std::env::args().nth(1).unwrap_or_else(|| "google/flan-t5-xxl".into());
     let Some(llm) = llm_by_name(&target) else {
         eprintln!("unknown LLM {target:?}; known:");
@@ -33,12 +33,9 @@ fn main() {
         WorkloadModel::fit(&traces, &Param::core()).expect("non-empty traces"),
     );
     println!("measuring {} across all feasible GPU profiles...", llm.name);
-    let dataset = characterize(
-        std::slice::from_ref(&llm),
-        &paper_profiles(),
-        &sampler,
-        &CharacterizeConfig::default(),
-    );
+    let profiles = paper_profiles();
+    let (dataset, _) =
+        SweepDriver::builder(std::slice::from_ref(&llm), &profiles, &sampler).build()?.run()?;
     println!("{} feasible profiles\n", dataset.tuned_weights.len());
 
     println!(
@@ -68,4 +65,5 @@ fn main() {
         "\nTighter SLAs force bigger-memory (costlier) profiles; relaxed SLAs\n\
          let cheap GPUs win on throughput per dollar (the paper's Fig. 7c)."
     );
+    Ok(())
 }

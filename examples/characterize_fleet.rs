@@ -9,13 +9,13 @@
 //! cargo run --release --example characterize_fleet [output.csv]
 //! ```
 
-use llm_pilot::core::{characterize, CharacterizeConfig};
+use llm_pilot::core::SweepDriver;
 use llm_pilot::sim::gpu::paper_profiles;
 use llm_pilot::sim::llm::llm_catalog;
 use llm_pilot::traces::{Param, TraceGenerator, TraceGeneratorConfig};
 use llm_pilot::workload::{WorkloadModel, WorkloadSampler};
 
-fn main() {
+fn main() -> Result<(), llm_pilot::Error> {
     let output = std::env::args().nth(1).unwrap_or_else(|| "characterization.csv".into());
 
     let traces = TraceGenerator::new(TraceGeneratorConfig {
@@ -34,7 +34,7 @@ fn main() {
         profiles.len()
     );
     let started = std::time::Instant::now();
-    let dataset = characterize(&llms, &profiles, &sampler, &CharacterizeConfig::default());
+    let (dataset, _) = SweepDriver::builder(&llms, &profiles, &sampler).build()?.run()?;
     println!(
         "collected {} rows over {} feasible cells in {:.1}s",
         dataset.len(),
@@ -49,4 +49,5 @@ fn main() {
 
     std::fs::write(&output, dataset.to_csv()).expect("write CSV");
     println!("\nwrote {output}");
+    Ok(())
 }

@@ -8,7 +8,7 @@
 //! ```
 
 use llm_pilot::core::recommend::{LatencyConstraints, RecommendationRequest};
-use llm_pilot::core::{characterize, CharacterizeConfig};
+use llm_pilot::core::SweepDriver;
 use llm_pilot::placement::{
     solve_exact, solve_greedy, tenant_from_measurements, GpuInventory, PlacementProblem,
 };
@@ -17,7 +17,7 @@ use llm_pilot::sim::llm::{flan_t5_xl, flan_t5_xxl, llama2_13b, llama2_7b, starco
 use llm_pilot::traces::{Param, TraceGenerator, TraceGeneratorConfig};
 use llm_pilot::workload::{WorkloadModel, WorkloadSampler};
 
-fn main() {
+fn main() -> Result<(), llm_pilot::Error> {
     // Measure five services across the GPU grid (the admin's offline data).
     let traces = TraceGenerator::new(TraceGeneratorConfig {
         num_requests: 60_000,
@@ -29,7 +29,8 @@ fn main() {
     );
     let llms = vec![flan_t5_xl(), flan_t5_xxl(), llama2_7b(), llama2_13b(), starcoder()];
     println!("characterizing {} services...", llms.len());
-    let dataset = characterize(&llms, &paper_profiles(), &sampler, &CharacterizeConfig::default());
+    let profiles = paper_profiles();
+    let (dataset, _) = SweepDriver::builder(&llms, &profiles, &sampler).build()?.run()?;
 
     // The cluster's physical inventory.
     let inventory = GpuInventory::from_counts([
@@ -89,4 +90,5 @@ fn main() {
         }
     }
     assert!(greedy.is_feasible(&problem) && exact.is_feasible(&problem));
+    Ok(())
 }

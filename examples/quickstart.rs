@@ -9,7 +9,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use llm_pilot::core::characterize::{characterize_cell, CharacterizeConfig};
+use llm_pilot::core::characterize::{characterize_cell, CellContext, CharacterizeConfig};
 use llm_pilot::sim::gpu::{a100_80, GpuProfile};
 use llm_pilot::sim::llm::llama2_13b;
 use llm_pilot::traces::{Param, TraceGenerator, TraceGeneratorConfig};
@@ -41,8 +41,9 @@ fn main() {
     //    each (Fig. 2's pipeline).
     let llm = llama2_13b();
     let profile = GpuProfile::new(a100_80(), 1);
+    let config = CharacterizeConfig::default();
     let (tuned_weight, rows) =
-        characterize_cell(&llm, &profile, &sampler, &CharacterizeConfig::default())
+        characterize_cell(&llm, &profile, &sampler, &config, &CellContext::default())
             .measured()
             .expect("Llama-2-13b fits on 1xA100-80GB");
 

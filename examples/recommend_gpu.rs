@@ -14,14 +14,14 @@
 use llm_pilot::core::baselines::{LlmPilotMethod, Method, MethodInput};
 use llm_pilot::core::evaluate::{oracle_recommendation, true_u_max};
 use llm_pilot::core::recommend::{LatencyConstraints, RecommendationRequest};
-use llm_pilot::core::{characterize, CharacterizeConfig};
+use llm_pilot::core::SweepDriver;
 use llm_pilot::sim::gpu::paper_profiles;
 use llm_pilot::sim::llm::{llm_by_name, llm_catalog};
 use llm_pilot::sim::memory::{MemoryConfig, MemoryModel};
 use llm_pilot::traces::{Param, TraceGenerator, TraceGeneratorConfig};
 use llm_pilot::workload::{WorkloadModel, WorkloadSampler};
 
-fn main() {
+fn main() -> Result<(), llm_pilot::Error> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let target = args.first().cloned().unwrap_or_else(|| "bigcode/starcoder".into());
     let users: u32 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(200);
@@ -58,8 +58,8 @@ fn main() {
     let all = llm_catalog();
     let historical: Vec<_> = all.iter().filter(|m| m.name != unseen.name).cloned().collect();
     println!("characterizing {} historical LLMs...", historical.len());
-    let dataset =
-        characterize(&historical, &paper_profiles(), &sampler, &CharacterizeConfig::default());
+    let profiles = paper_profiles();
+    let (dataset, _) = SweepDriver::builder(&historical, &profiles, &sampler).build()?.run()?;
 
     // Candidate profiles: the ones the unseen LLM physically fits on.
     let candidates: Vec<_> = paper_profiles()
@@ -88,12 +88,10 @@ fn main() {
                 rec.pods, rec.profile, rec.u_max, rec.cost_per_hour
             );
             // Verify against the target's true (simulated) performance.
-            let truth = characterize(
-                std::slice::from_ref(&unseen),
-                &candidates,
-                &sampler,
-                &CharacterizeConfig::default(),
-            );
+            let (truth, _) =
+                SweepDriver::builder(std::slice::from_ref(&unseen), &candidates, &sampler)
+                    .build()?
+                    .run()?;
             let true_cap = true_u_max(&truth, unseen.name, &rec.profile, &request.constraints);
             match true_cap {
                 Some(cap) if u64::from(rec.pods) * u64::from(cap) >= u64::from(users) => {
@@ -117,4 +115,5 @@ fn main() {
         }
         Err(e) => println!("no feasible recommendation: {e}"),
     }
+    Ok(())
 }

@@ -20,7 +20,7 @@
 //! `--help`, exit 2 on usage errors) and reports runtime failures through
 //! [`llm_pilot::Error`] as one `error: …` line (exit 1).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::exit;
 
 use rand::rngs::StdRng;
@@ -28,6 +28,7 @@ use rand::SeedableRng;
 
 use llm_pilot::cli::{Command, Flag, Parsed};
 use llm_pilot::core::recommend::{recommend, LatencyConstraints, RecommendationRequest};
+use llm_pilot::core::sweep::write_atomic;
 use llm_pilot::core::{
     CharacterizationDataset, CharacterizeConfig, FlightOptions, PerformancePredictor,
     PredictorConfig, SweepDriver, SweepOptions,
@@ -254,7 +255,7 @@ fn cmd_characterize(args: &[String]) -> Result<(), Error> {
     let retries = cmd.flag_checked(
         "retries",
         "N",
-        "load-test attempts per cell",
+        "attempts per cell (deploy, tuning and every load test)",
         3u32,
         |v| *v >= 1,
         "a nonzero retry budget",
@@ -320,7 +321,8 @@ fn cmd_characterize(args: &[String]) -> Result<(), Error> {
     print!("{report}");
     println!("{} rows over {} measured cells", ds.len(), ds.tuned_weights.len());
     let out = p.get(&out);
-    std::fs::write(&out, ds.to_csv())?;
+    // `llmpilot-serve` may be watching this file: never expose a torn one.
+    write_atomic(Path::new(&out), ds.to_csv().as_bytes())?;
     println!("wrote {out}");
     topts.finish()
 }

@@ -1,7 +1,7 @@
 //! Integration: traces → workload generator → simulator → characterization
 //! dataset, spanning four crates.
 
-use llm_pilot::core::{characterize, CharacterizationDataset, CharacterizeConfig};
+use llm_pilot::core::{CharacterizationDataset, CharacterizeConfig, SweepDriver};
 use llm_pilot::sim::gpu::{a100_40, h100, t4, GpuProfile};
 use llm_pilot::sim::llm::{flan_t5_xl, flan_ul2, llama2_13b, llama2_7b};
 use llm_pilot::sim::memory::{MemoryConfig, MemoryModel};
@@ -30,7 +30,10 @@ fn small_grid() -> CharacterizationDataset {
     let llms = vec![flan_t5_xl(), llama2_7b(), llama2_13b(), flan_ul2()];
     let profiles =
         vec![GpuProfile::new(t4(), 1), GpuProfile::new(a100_40(), 1), GpuProfile::new(h100(), 2)];
-    characterize(&llms, &profiles, &sampler(), &small_config())
+    let sampler = sampler();
+    let driver =
+        SweepDriver::builder(&llms, &profiles, &sampler).config(small_config()).build().unwrap();
+    driver.run().unwrap().0
 }
 
 #[test]

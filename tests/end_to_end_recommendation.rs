@@ -7,7 +7,7 @@ use llm_pilot::core::evaluate::{
     best_static_policy, oracle_recommendation, so_score, true_u_max, Evaluation,
 };
 use llm_pilot::core::recommend::RecommendationRequest;
-use llm_pilot::core::{characterize, CharacterizationDataset, CharacterizeConfig};
+use llm_pilot::core::{CharacterizationDataset, CharacterizeConfig, SweepDriver};
 use llm_pilot::sim::gpu::{a10, a100_40, h100, t4, GpuProfile};
 use llm_pilot::sim::llm::{flan_t5_xl, flan_t5_xxl, llama2_13b, llama2_7b, starcoder};
 use llm_pilot::traces::{Param, TraceGenerator, TraceGeneratorConfig};
@@ -31,16 +31,19 @@ fn dataset() -> CharacterizationDataset {
     .generate();
     let sampler = WorkloadSampler::new(WorkloadModel::fit(&traces, &Param::core()).unwrap());
     let llms = vec![flan_t5_xl(), flan_t5_xxl(), llama2_7b(), llama2_13b(), starcoder()];
-    characterize(
-        &llms,
-        &profiles(),
-        &sampler,
-        &CharacterizeConfig {
-            duration_s: 120.0,
-            user_sweep: vec![1, 2, 4, 8, 16, 32, 64, 128],
-            ..CharacterizeConfig::default()
-        },
-    )
+    let profiles = profiles();
+    let config = CharacterizeConfig {
+        duration_s: 120.0,
+        user_sweep: vec![1, 2, 4, 8, 16, 32, 64, 128],
+        ..CharacterizeConfig::default()
+    };
+    SweepDriver::builder(&llms, &profiles, &sampler)
+        .config(config)
+        .build()
+        .unwrap()
+        .run()
+        .unwrap()
+        .0
 }
 
 #[test]
