@@ -64,9 +64,10 @@ fn bench_engine_recorder_overhead(c: &mut Criterion) {
 }
 
 /// Cost of the per-phase HDR histograms: an engine recording every
-/// prefill/decode duration into lock-free `Histogram`s vs. the plain
-/// engine. Recording is two atomic adds per step, so this should sit
-/// within a few percent of the `engine_step_no_recorder` group.
+/// prefill/decode duration into its own non-atomic buffers (added into
+/// the shared `PhaseHists` when it drops) vs. the plain engine. Recording
+/// is a few plain adds per step, so this should sit within a few percent
+/// of the `engine_step_no_recorder` group.
 fn bench_engine_phase_hists(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_step_phase_hists");
     let engine = engine_with_batch(32, None).with_phase_hists(Arc::new(PhaseHists::default()));

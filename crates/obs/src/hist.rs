@@ -15,6 +15,13 @@
 //! histogram's slots in, which is exactly equivalent to having recorded
 //! the union of both sample sets.
 //!
+//! Hot loops with a single owner record into a [`LocalHistogram`] instead:
+//! the same slot layout over plain `u64`s, with no atomic per sample. It
+//! is added into a shared [`Histogram`] once, with
+//! [`Histogram::merge_local`], which is bit-exact in the same way as
+//! [`Histogram::merge`]. The simulator's engines and load tests record
+//! this way and merge when the load test ends or the engine drops.
+//!
 //! Values are plain `u64`s; callers decide the unit. Throughout this
 //! repository latencies are recorded in **nanoseconds** (virtual or wall),
 //! via [`Histogram::record_secs`].
@@ -26,10 +33,10 @@ pub const MIN_SIGFIGS: u8 = 1;
 /// Upper bound on significant digits (5 → 2^18 sub-buckets, 16 MiB).
 pub const MAX_SIGFIGS: u8 = 5;
 
-/// A log-linear HDR histogram of `u64` values covering the full `u64`
-/// range, with lock-free `AtomicU64` slots.
-#[derive(Debug)]
-pub struct Histogram {
+/// The slot layout for a given resolution, shared by [`Histogram`] and
+/// [`LocalHistogram`] so both map every value to the same slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Layout {
     sigfigs: u8,
     /// `2^k` sub-buckets per exponent group.
     sub_bucket_count: u64,
@@ -38,6 +45,70 @@ pub struct Histogram {
     sub_bucket_shift: u32,
     /// `k - 1`: log2 of `sub_bucket_half_count`.
     sub_bucket_half_shift: u32,
+}
+
+impl Layout {
+    fn new(sigfigs: u8) -> Self {
+        let sigfigs = sigfigs.clamp(MIN_SIGFIGS, MAX_SIGFIGS);
+        // Smallest power of two with at least 2 * 10^sigfigs sub-buckets.
+        let needed = 2 * 10u64.pow(u32::from(sigfigs));
+        let sub_bucket_count = needed.next_power_of_two();
+        let sub_bucket_shift = sub_bucket_count.trailing_zeros();
+        Layout {
+            sigfigs,
+            sub_bucket_count,
+            sub_bucket_half_count: sub_bucket_count / 2,
+            sub_bucket_shift,
+            sub_bucket_half_shift: sub_bucket_shift - 1,
+        }
+    }
+
+    /// Number of slots needed to cover the whole `u64` range.
+    fn slots(&self) -> usize {
+        // Exponent groups needed so that the last group's top reaches
+        // u64::MAX: group i covers values below sub_bucket_count << i.
+        let bucket_count = u64::from(64 - self.sub_bucket_shift) + 1;
+        ((bucket_count + 1) * self.sub_bucket_half_count) as usize
+    }
+
+    /// Slot index for `value` (always in range: the layout covers `u64`).
+    fn index_for(&self, value: u64) -> usize {
+        // Exponent group: position of the highest set bit beyond the
+        // linear range. Values below `sub_bucket_count` map to group 0.
+        let pow2 = 64 - (value | (self.sub_bucket_count - 1)).leading_zeros();
+        let bucket = pow2 - self.sub_bucket_shift;
+        let sub = value >> bucket; // in [half, count) for bucket > 0
+        let base = (u64::from(bucket) + 1) << self.sub_bucket_half_shift;
+        (base + sub - self.sub_bucket_half_count) as usize
+    }
+
+    /// Lowest value that maps to slot `index`, and the slot's width.
+    fn slot_bounds(&self, index: usize) -> (u64, u64) {
+        let index = index as u64;
+        let mut bucket = (index >> self.sub_bucket_half_shift) as i64 - 1;
+        let mut sub = (index & (self.sub_bucket_half_count - 1)) + self.sub_bucket_half_count;
+        if bucket < 0 {
+            bucket = 0;
+            sub -= self.sub_bucket_half_count;
+        }
+        let lowest = sub << bucket;
+        let width = 1u64 << bucket;
+        (lowest, width)
+    }
+}
+
+/// Seconds as integer nanoseconds; `None` for non-finite or negative
+/// inputs.
+fn secs_to_nanos(seconds: f64) -> Option<u64> {
+    (seconds.is_finite() && seconds >= 0.0)
+        .then(|| (seconds * 1e9).round().min(u64::MAX as f64) as u64)
+}
+
+/// A log-linear HDR histogram of `u64` values covering the full `u64`
+/// range, with lock-free `AtomicU64` slots.
+#[derive(Debug)]
+pub struct Histogram {
+    layout: Layout,
     counts: Vec<AtomicU64>,
     total: AtomicU64,
     /// Saturating sum of raw recorded values (for the exact mean).
@@ -77,22 +148,10 @@ impl Histogram {
     /// resolution (clamped to `1..=5`). Two digits give ≤1% (in fact
     /// ≤0.4%) relative quantile error in ~58 KiB.
     pub fn new(sigfigs: u8) -> Self {
-        let sigfigs = sigfigs.clamp(MIN_SIGFIGS, MAX_SIGFIGS);
-        // Smallest power of two with at least 2 * 10^sigfigs sub-buckets.
-        let needed = 2 * 10u64.pow(u32::from(sigfigs));
-        let sub_bucket_count = needed.next_power_of_two();
-        let sub_bucket_shift = sub_bucket_count.trailing_zeros();
-        // Exponent groups needed so that the last group's top reaches
-        // u64::MAX: group i covers values below sub_bucket_count << i.
-        let bucket_count = (64 - sub_bucket_shift) as u64 + 1;
-        let slots = ((bucket_count + 1) * (sub_bucket_count / 2)) as usize;
+        let layout = Layout::new(sigfigs);
         Histogram {
-            sigfigs,
-            sub_bucket_count,
-            sub_bucket_half_count: sub_bucket_count / 2,
-            sub_bucket_shift,
-            sub_bucket_half_shift: sub_bucket_shift - 1,
-            counts: (0..slots).map(|_| AtomicU64::new(0)).collect(),
+            layout,
+            counts: (0..layout.slots()).map(|_| AtomicU64::new(0)).collect(),
             total: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
@@ -102,32 +161,20 @@ impl Histogram {
 
     /// The configured significant digits.
     pub fn sigfigs(&self) -> u8 {
-        self.sigfigs
+        self.layout.sigfigs
     }
 
-    /// Slot index for `value` (always in range: the layout covers `u64`).
-    fn index_for(&self, value: u64) -> usize {
-        // Exponent group: position of the highest set bit beyond the
-        // linear range. Values below `sub_bucket_count` map to group 0.
-        let pow2 = 64 - (value | (self.sub_bucket_count - 1)).leading_zeros();
-        let bucket = pow2 - self.sub_bucket_shift;
-        let sub = value >> bucket; // in [half, count) for bucket > 0
-        let base = (u64::from(bucket) + 1) << self.sub_bucket_half_shift;
-        (base + sub - self.sub_bucket_half_count) as usize
-    }
-
-    /// Lowest value that maps to slot `index`, and the slot's width.
-    fn slot_bounds(&self, index: usize) -> (u64, u64) {
-        let index = index as u64;
-        let mut bucket = (index >> self.sub_bucket_half_shift) as i64 - 1;
-        let mut sub = (index & (self.sub_bucket_half_count - 1)) + self.sub_bucket_half_count;
-        if bucket < 0 {
-            bucket = 0;
-            sub -= self.sub_bucket_half_count;
+    /// An empty [`LocalHistogram`] with this histogram's layout, ready to
+    /// be added in with [`Histogram::merge_local`].
+    pub fn local(&self) -> LocalHistogram {
+        LocalHistogram {
+            layout: self.layout,
+            counts: vec![0; self.layout.slots()],
+            total: 0,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
         }
-        let lowest = sub << bucket;
-        let width = 1u64 << bucket;
-        (lowest, width)
     }
 
     /// Record one sample. Lock-free; safe to call from any thread.
@@ -140,7 +187,7 @@ impl Histogram {
         if n == 0 {
             return;
         }
-        self.counts[self.index_for(value)].fetch_add(n, Ordering::Relaxed);
+        self.counts[self.layout.index_for(value)].fetch_add(n, Ordering::Relaxed);
         self.total.fetch_add(n, Ordering::Relaxed);
         let add = value.saturating_mul(n);
         let _ = self
@@ -153,8 +200,8 @@ impl Histogram {
     /// Record a duration given in seconds as integer nanoseconds.
     /// Non-finite or negative inputs are ignored.
     pub fn record_secs(&self, seconds: f64) {
-        if seconds.is_finite() && seconds >= 0.0 {
-            self.record((seconds * 1e9).round().min(u64::MAX as f64) as u64);
+        if let Some(nanos) = secs_to_nanos(seconds) {
+            self.record(nanos);
         }
     }
 
@@ -163,20 +210,47 @@ impl Histogram {
     ///
     /// Both histograms must have the same `sigfigs` (same layout).
     pub fn merge(&self, other: &Histogram) {
-        assert_eq!(self.sigfigs, other.sigfigs, "merging histograms of different resolution");
+        assert_eq!(self.layout, other.layout, "merging histograms of different resolution");
         for (slot, theirs) in self.counts.iter().zip(&other.counts) {
             let n = theirs.load(Ordering::Relaxed);
             if n > 0 {
                 slot.fetch_add(n, Ordering::Relaxed);
             }
         }
-        self.total.fetch_add(other.total.load(Ordering::Relaxed), Ordering::Relaxed);
-        let add = other.sum.load(Ordering::Relaxed);
+        self.add_totals(
+            other.total.load(Ordering::Relaxed),
+            other.sum.load(Ordering::Relaxed),
+            other.min.load(Ordering::Relaxed),
+            other.max.load(Ordering::Relaxed),
+        );
+    }
+
+    /// Add every sample of a [`LocalHistogram`] into `self`. Exactly
+    /// equivalent to having recorded its samples here directly; adding an
+    /// empty buffer changes nothing.
+    ///
+    /// The buffer must have the same `sigfigs` (same layout).
+    pub fn merge_local(&self, other: &LocalHistogram) {
+        assert_eq!(self.layout, other.layout, "merging histograms of different resolution");
+        if other.total == 0 {
+            return;
+        }
+        for (slot, &n) in self.counts.iter().zip(&other.counts) {
+            if n > 0 {
+                slot.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        self.add_totals(other.total, other.sum, other.min, other.max);
+    }
+
+    /// Fold another sample set's count, (saturating) sum and extremes in.
+    fn add_totals(&self, total: u64, sum: u64, min: u64, max: u64) {
+        self.total.fetch_add(total, Ordering::Relaxed);
         let _ = self
             .sum
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| Some(s.saturating_add(add)));
-        self.min.fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max.fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| Some(s.saturating_add(sum)));
+        self.min.fetch_min(min, Ordering::Relaxed);
+        self.max.fetch_max(max, Ordering::Relaxed);
     }
 
     /// Number of recorded samples.
@@ -243,7 +317,7 @@ impl Histogram {
             }
             seen += c;
             if seen >= rank {
-                let (lowest, width) = self.slot_bounds(i);
+                let (lowest, width) = self.layout.slot_bounds(i);
                 // Midpoint halves the worst-case error; clamp into the
                 // observed range so q=0/q=1 are exact.
                 let mid = lowest.saturating_add(width / 2);
@@ -275,7 +349,7 @@ impl Histogram {
     /// Used to render cumulative Prometheus buckets; off by at most the
     /// slot resolution (≤1% of `value` at two significant digits).
     pub fn count_le(&self, value: u64) -> u64 {
-        let hi = self.index_for(value);
+        let hi = self.layout.index_for(value);
         self.counts[..=hi].iter().map(|c| c.load(Ordering::Relaxed)).sum()
     }
 
@@ -291,7 +365,7 @@ impl Histogram {
                 if n == 0 {
                     None
                 } else {
-                    Some((self.slot_bounds(i).0, n))
+                    Some((self.layout.slot_bounds(i).0, n))
                 }
             })
             .collect()
@@ -302,6 +376,52 @@ impl Default for Histogram {
     /// Two significant digits: ≤1% relative quantile error in ~58 KiB.
     fn default() -> Self {
         Histogram::new(2)
+    }
+}
+
+/// A single-owner recording buffer with a [`Histogram`]'s slot layout:
+/// plain `u64` slots and bookkeeping, so recording costs no atomic
+/// operation. Record on a hot path, then add the buffer into a shared
+/// histogram once with [`Histogram::merge_local`]. Made by
+/// [`Histogram::local`].
+#[derive(Debug)]
+pub struct LocalHistogram {
+    layout: Layout,
+    counts: Vec<u64>,
+    total: u64,
+    /// Saturating sum of raw recorded values.
+    sum: u64,
+    min: u64,
+    max: u64,
+}
+
+impl LocalHistogram {
+    /// Record `n` occurrences of `value`, exactly as `n` calls of
+    /// [`Histogram::record`].
+    pub fn record_n(&mut self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.counts[self.layout.index_for(value)] += n;
+        self.total += n;
+        self.sum = self.sum.saturating_add(value.saturating_mul(n));
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
+    }
+
+    /// Record a duration given in seconds as integer nanoseconds, exactly
+    /// as [`Histogram::record_secs`]. Non-finite or negative inputs are
+    /// ignored.
+    pub fn record_secs(&mut self, seconds: f64) {
+        self.record_secs_n(seconds, 1);
+    }
+
+    /// Record `n` occurrences of a duration given in seconds, exactly as
+    /// `n` calls of [`LocalHistogram::record_secs`].
+    pub fn record_secs_n(&mut self, seconds: f64, n: u64) {
+        if let Some(nanos) = secs_to_nanos(seconds) {
+            self.record_n(nanos, n);
+        }
     }
 }
 

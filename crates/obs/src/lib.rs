@@ -21,7 +21,8 @@
 //!   validators behind the `trace-check` binary.
 //! * [`hist`] — a log-linear HDR histogram (lock-free `AtomicU64`
 //!   buckets, ≤1% relative quantile error at the default resolution),
-//!   the single histogram type across the workspace.
+//!   the single histogram type across the workspace, plus its non-atomic
+//!   single-owner recording buffer.
 //! * [`events`] — a versioned JSONL telemetry stream ([`events::EventSink`])
 //!   plus the `llm-pilot watch` progress renderer.
 //! * [`flight`] — a bounded ring-buffer flight recorder (built on

@@ -16,7 +16,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use llmpilot_obs::hist::Histogram;
+use llmpilot_obs::hist::{Histogram, LocalHistogram};
 use llmpilot_obs::Recorder;
 
 use crate::error::SimError;
@@ -111,13 +111,44 @@ impl RunningRequest {
 /// Per-phase duration histograms (virtual seconds, recorded as
 /// nanoseconds): one sample per iteration's decode component and one per
 /// admitted request's prefill cost. Shared via `Arc` so a sweep can
-/// aggregate across many engine instances; recording is lock-free.
+/// aggregate across many engine instances; each engine adds its samples
+/// in when it drops.
 #[derive(Debug, Default)]
 pub struct PhaseHists {
     /// Prompt-processing cost per admitted request.
     pub prefill: Histogram,
     /// Decode-step cost per iteration with running sequences.
     pub decode: Histogram,
+}
+
+/// One engine's own phase-duration buffers, added into the shared
+/// [`PhaseHists`] when dropped.
+#[derive(Debug)]
+struct PhaseBuffers {
+    sink: Arc<PhaseHists>,
+    prefill: LocalHistogram,
+    decode: LocalHistogram,
+}
+
+impl PhaseBuffers {
+    fn new(sink: Arc<PhaseHists>) -> Self {
+        PhaseBuffers { prefill: sink.prefill.local(), decode: sink.decode.local(), sink }
+    }
+}
+
+impl Clone for PhaseBuffers {
+    /// The clone shares the sink but starts with empty buffers, so no
+    /// sample is added in twice.
+    fn clone(&self) -> Self {
+        PhaseBuffers::new(Arc::clone(&self.sink))
+    }
+}
+
+impl Drop for PhaseBuffers {
+    fn drop(&mut self) {
+        self.sink.prefill.merge_local(&self.prefill);
+        self.sink.decode.merge_local(&self.decode);
+    }
 }
 
 /// Continuous-batching engine for one pod.
@@ -132,13 +163,17 @@ pub struct Engine {
     running: Vec<RunningRequest>,
     /// Cached Σ weight of running requests (full reservation).
     running_weight: u64,
+    /// Cached Σ KV tokens currently held by the running batch.
+    running_kv_tokens: u64,
+    /// Cached Σ sequences (batch sizes) of the running batch.
+    running_seqs: u32,
     total_tokens_emitted: u64,
     preemptions: u64,
     /// Structured-trace sink; [`Recorder::disabled`] by default, so the
     /// hot loop pays only an `Option` branch per phase.
     recorder: Recorder,
-    /// Optional per-phase duration histograms; `None` costs one branch.
-    phase_hists: Option<Arc<PhaseHists>>,
+    /// Optional per-phase duration buffers; `None` costs one branch.
+    phase_hists: Option<PhaseBuffers>,
 }
 
 impl Engine {
@@ -154,6 +189,8 @@ impl Engine {
             queue: VecDeque::new(),
             running: Vec::new(),
             running_weight: 0,
+            running_kv_tokens: 0,
+            running_seqs: 0,
             total_tokens_emitted: 0,
             preemptions: 0,
             recorder: Recorder::disabled(),
@@ -178,10 +215,12 @@ impl Engine {
 
     /// Attach shared per-phase duration histograms (builder style): every
     /// subsequent [`Engine::step`] records its decode-step cost and each
-    /// admitted request's prefill cost into [`PhaseHists`]. Recording
-    /// never perturbs the simulation — virtual time is read, not changed.
+    /// admitted request's prefill cost into buffers of the engine's own,
+    /// which are added into [`PhaseHists`] when the engine drops (a clone
+    /// starts with empty buffers into the same sink). Recording never
+    /// perturbs the simulation — virtual time is read, not changed.
     pub fn with_phase_hists(mut self, hists: Arc<PhaseHists>) -> Self {
-        self.phase_hists = Some(hists);
+        self.phase_hists = Some(PhaseBuffers::new(hists));
         self
     }
 
@@ -213,7 +252,7 @@ impl Engine {
 
     /// KV tokens currently cached by the running batch.
     pub fn current_kv_tokens(&self) -> u64 {
-        self.running.iter().map(|r| r.kv_tokens()).sum()
+        self.running_kv_tokens
     }
 
     /// Convenience constructor: derive the maximum batch weight bound from a
@@ -338,6 +377,8 @@ impl Engine {
                 .expect("running nonempty");
             let victim = self.running.swap_remove(newest);
             self.running_weight -= victim.spec.weight();
+            self.running_kv_tokens -= victim.kv_tokens();
+            self.running_seqs -= victim.spec.batch_size;
             self.preemptions += 1;
             self.queue.push_front(QueuedRequest {
                 id: victim.id,
@@ -355,9 +396,8 @@ impl Engine {
     /// Returns an empty [`StepResult`] without advancing time when there is
     /// no work.
     pub fn step(&mut self) -> StepResult {
-        let mut result = StepResult::default();
         if !self.has_work() {
-            return result;
+            return StepResult::default();
         }
         let _step_span = self.recorder.span("engine.step");
         self.recorder.counter_add("engine.steps", 1);
@@ -370,12 +410,12 @@ impl Engine {
         // Decode cost for the sequences that were already running.
         let mut step_time = {
             let _span = self.recorder.span("engine.decode");
-            let old_seqs: u32 = self.running.iter().map(|r| r.spec.batch_size).sum();
-            let kv_tokens: u64 = self.running.iter().map(|r| r.kv_tokens()).sum::<u64>()
-                + admitted.iter().map(|r| r.kv_tokens()).sum::<u64>();
+            let old_seqs = self.running_seqs;
             if old_seqs > 0 {
+                let kv_tokens =
+                    self.running_kv_tokens + admitted.iter().map(|r| r.kv_tokens()).sum::<u64>();
                 let t = self.perf.decode_step_time(old_seqs, kv_tokens);
-                if let Some(h) = &self.phase_hists {
+                if let Some(h) = &mut self.phase_hists {
                     h.decode.record_secs(t);
                 }
                 t
@@ -392,7 +432,7 @@ impl Engine {
             for r in &admitted {
                 let t = self.perf.prefill_time(r.spec.input_tokens + r.generated)
                     * r.spec.batch_size as f64;
-                if let Some(h) = &self.phase_hists {
+                if let Some(h) = &mut self.phase_hists {
                     h.prefill.record_secs(t);
                 }
                 step_time += t;
@@ -400,6 +440,11 @@ impl Engine {
         }
         let now = self.clock + step_time;
         self.clock = now;
+        let tokens_before = self.total_tokens_emitted;
+        let mut result = StepResult {
+            emissions: Vec::with_capacity(self.running.len() + admitted.len()),
+            completions: Vec::new(),
+        };
 
         // Previously running sequences each produce one decode token.
         for r in &mut self.running {
@@ -410,8 +455,10 @@ impl Engine {
                 count: r.spec.batch_size,
                 is_first: false,
             });
-            self.total_tokens_emitted += u64::from(r.spec.batch_size);
         }
+        // One more cached token per running sequence.
+        self.running_kv_tokens += u64::from(self.running_seqs);
+        self.total_tokens_emitted += u64::from(self.running_seqs);
         // Admitted requests produce their next token out of prefill: the
         // *first* token for fresh requests; recomputed requests resume
         // emitting where they left off.
@@ -425,6 +472,8 @@ impl Engine {
                 is_first,
             });
             self.total_tokens_emitted += u64::from(r.spec.batch_size);
+            self.running_kv_tokens += r.kv_tokens();
+            self.running_seqs += r.spec.batch_size;
             self.running.push(r);
         }
 
@@ -434,6 +483,8 @@ impl Engine {
             if self.running[i].generated >= self.running[i].spec.output_tokens {
                 let done = self.running.swap_remove(i);
                 self.running_weight -= done.spec.weight();
+                self.running_kv_tokens -= done.kv_tokens();
+                self.running_seqs -= done.spec.batch_size;
                 result.completions.push(Completion {
                     id: done.id,
                     time: now,
@@ -450,8 +501,8 @@ impl Engine {
             self.preempt_overflow();
             self.recorder.counter_add("engine.preemptions", self.preemptions - before);
         }
-        let emitted: u64 = result.emissions.iter().map(|em| u64::from(em.count)).sum();
-        self.recorder.counter_add("engine.tokens_emitted", emitted);
+        self.recorder
+            .counter_add("engine.tokens_emitted", self.total_tokens_emitted - tokens_before);
         result
     }
 }
@@ -814,6 +865,23 @@ mod paged_tests {
         assert_eq!(done.len(), 3);
         for id in ids {
             assert!(done.contains(&id));
+        }
+    }
+
+    #[test]
+    fn running_totals_match_a_recount_after_every_step() {
+        for policy in [AdmissionPolicy::ReserveFull, AdmissionPolicy::PagedCurrent] {
+            let mut e = engine(1_200, policy);
+            for (i, o, b) in [(300, 300, 1), (200, 250, 2), (50, 400, 1), (100, 20, 3)] {
+                e.submit(RequestSpec::batched(i, o, b)).unwrap();
+            }
+            while e.has_work() {
+                e.step();
+                let kv: u64 = e.running.iter().map(|r| r.kv_tokens()).sum();
+                let seqs: u32 = e.running.iter().map(|r| r.spec.batch_size).sum();
+                assert_eq!((e.current_kv_tokens(), e.running_seqs), (kv, seqs), "{policy:?}");
+            }
+            assert_eq!((e.current_kv_tokens(), e.running_seqs), (0, 0));
         }
     }
 

@@ -8,9 +8,7 @@
 //! performance metrics: TTFT, normalized TTFT, inter-token latency and
 //! throughput — all medians/totals over a fixed-duration window.
 
-use std::collections::HashMap;
-
-use llmpilot_obs::hist::Histogram;
+use llmpilot_obs::hist::{Histogram, LocalHistogram};
 
 use crate::engine::{Engine, RequestId};
 use crate::error::SimError;
@@ -64,17 +62,22 @@ pub struct LoadMetrics {
     pub total_tokens: u64,
 }
 
-/// Median of a sample; `NaN` when empty.
+/// Median of a sample; `NaN` when empty. Reorders `values`.
+///
+/// Selects the middle order statistic(s) under `f64::total_cmp` in O(n),
+/// so the result is bit-identical to taking them from a fully sorted copy.
 pub fn median(values: &mut [f64]) -> f64 {
-    if values.is_empty() {
+    let n = values.len();
+    if n == 0 {
         return f64::NAN;
     }
-    values.sort_by(|a, b| a.total_cmp(b));
-    let n = values.len();
+    let (lower, &mut upper, _) = values.select_nth_unstable_by(n / 2, f64::total_cmp);
     if n % 2 == 1 {
-        values[n / 2]
+        upper
     } else {
-        0.5 * (values[n / 2 - 1] + values[n / 2])
+        // The lower middle is the largest element left of the upper one.
+        let lower = lower.iter().copied().max_by(f64::total_cmp).expect("n >= 2");
+        0.5 * (lower + upper)
     }
 }
 
@@ -100,13 +103,77 @@ pub struct SampleHists {
     pub itl: Histogram,
 }
 
+/// One load test's own sample buffers, added into the caller's
+/// [`SampleHists`] when dropped — on every exit of the test, including an
+/// injected fault's early return, so an aborted test's samples are kept.
+struct SampleBuffers<'a> {
+    sink: &'a SampleHists,
+    nttft: LocalHistogram,
+    itl: LocalHistogram,
+    /// A run of equal inter-token gaps not yet in `itl`, as (gap, count):
+    /// every request decoding through consecutive steps sees the same gap,
+    /// so one step's emissions form one run.
+    itl_run: (f64, u64),
+}
+
+impl<'a> SampleBuffers<'a> {
+    fn new(sink: &'a SampleHists) -> Self {
+        SampleBuffers { sink, nttft: sink.nttft.local(), itl: sink.itl.local(), itl_run: (0.0, 0) }
+    }
+
+    fn record_itl(&mut self, gap: f64) {
+        if gap.to_bits() == self.itl_run.0.to_bits() {
+            self.itl_run.1 += 1;
+        } else {
+            self.itl.record_secs_n(self.itl_run.0, self.itl_run.1);
+            self.itl_run = (gap, 1);
+        }
+    }
+}
+
+impl Drop for SampleBuffers<'_> {
+    fn drop(&mut self) {
+        self.itl.record_secs_n(self.itl_run.0, self.itl_run.1);
+        self.sink.nttft.merge_local(&self.nttft);
+        self.sink.itl.merge_local(&self.itl);
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
-    user: u32,
     submitted_at: f64,
     input_tokens: u32,
     first_token_at: Option<f64>,
     last_token_at: Option<f64>,
+}
+
+/// The requests a load test has submitted, indexed by [`RequestId`]: the
+/// engine hands out ids sequentially, so slot `id - first id` holds the
+/// request while it is in flight and `None` once it completed.
+#[derive(Default)]
+struct InFlightSlab {
+    first_id: u64,
+    slots: Vec<Option<InFlight>>,
+}
+
+impl InFlightSlab {
+    fn insert(&mut self, id: RequestId, request: InFlight) {
+        if self.slots.is_empty() {
+            self.first_id = id.0;
+        }
+        assert_eq!(id.0, self.first_id + self.slots.len() as u64, "request ids are sequential");
+        self.slots.push(Some(request));
+    }
+
+    fn slot(&mut self, id: RequestId) -> &mut Option<InFlight> {
+        let index = id.0.checked_sub(self.first_id).expect("request submitted by this load test");
+        &mut self.slots[index as usize]
+    }
+
+    /// Requests still in flight, in submission order.
+    fn in_flight(&self) -> impl Iterator<Item = &InFlight> {
+        self.slots.iter().flatten()
+    }
 }
 
 /// Run one closed-loop load-testing experiment against a fresh engine.
@@ -117,9 +184,10 @@ struct InFlight {
 /// step or virtual-time budget, any of which aborts the experiment with the
 /// corresponding [`SimError`]; [`LoadFaults::none`] injects nothing. When
 /// `hists` is given, every normalized-TTFT and inter-token-latency sample
-/// (including censored TTFT lower bounds) is also recorded into it.
-/// Neither faults that do not fire nor observation change the returned
-/// metrics.
+/// (including censored TTFT lower bounds) is also recorded: into buffers
+/// of the test's own, which are added into `hists` when the test returns,
+/// with metrics or with an error. Neither faults that do not fire nor
+/// observation change the returned metrics.
 pub fn run_load_test_observed<S: RequestSource + ?Sized>(
     engine: &mut Engine,
     mem: &MemoryModel,
@@ -131,7 +199,8 @@ pub fn run_load_test_observed<S: RequestSource + ?Sized>(
     let users = config.concurrent_users;
     assert!(users >= 1, "load test needs at least one user");
 
-    let mut in_flight: HashMap<RequestId, InFlight> = HashMap::new();
+    let mut local = hists.map(SampleBuffers::new);
+    let mut in_flight = InFlightSlab::default();
     let mut ttfts: Vec<f64> = Vec::new();
     let mut nttfts: Vec<f64> = Vec::new();
     let mut gaps: Vec<f64> = Vec::new();
@@ -140,13 +209,12 @@ pub fn run_load_test_observed<S: RequestSource + ?Sized>(
     let mut total_tokens: u64 = 0;
 
     // All users fire their first request at t = 0.
-    for user in 0..users {
+    for _ in 0..users {
         let spec = fit_request(mem, engine.max_batch_weight(), source.next_request());
         let id = engine.submit(spec)?;
         in_flight.insert(
             id,
             InFlight {
-                user,
                 submitted_at: engine.clock(),
                 input_tokens: spec.input_tokens,
                 first_token_at: None,
@@ -163,29 +231,29 @@ pub fn run_load_test_observed<S: RequestSource + ?Sized>(
             if em.time >= warmup {
                 total_tokens += u64::from(em.count);
             }
-            let fl = in_flight.get_mut(&em.id).expect("emission for known request");
+            let fl = in_flight.slot(em.id).as_mut().expect("emission for a request in flight");
             if em.is_first {
                 if fl.submitted_at >= warmup {
                     let ttft = em.time - fl.submitted_at;
                     ttfts.push(ttft);
                     nttfts.push(ttft / fl.input_tokens as f64);
-                    if let Some(h) = hists {
-                        h.nttft.record_secs(ttft / fl.input_tokens as f64);
+                    if let Some(b) = &mut local {
+                        b.nttft.record_secs(ttft / fl.input_tokens as f64);
                     }
                 }
                 fl.first_token_at = Some(em.time);
             } else if let Some(prev) = fl.last_token_at {
                 if em.time >= warmup {
                     gaps.push(em.time - prev);
-                    if let Some(h) = hists {
-                        h.itl.record_secs(em.time - prev);
+                    if let Some(b) = &mut local {
+                        b.record_itl(em.time - prev);
                     }
                 }
             }
             fl.last_token_at = Some(em.time);
         }
         for c in &step.completions {
-            let fl = in_flight.remove(&c.id).expect("completion for known request");
+            let fl = in_flight.slot(c.id).take().expect("completion for a request in flight");
             if fl.submitted_at >= warmup {
                 e2es.push(c.time - fl.submitted_at);
                 completed += 1;
@@ -197,7 +265,6 @@ pub fn run_load_test_observed<S: RequestSource + ?Sized>(
                 in_flight.insert(
                     id,
                     InFlight {
-                        user: fl.user,
                         submitted_at: engine.clock(),
                         input_tokens: spec.input_tokens,
                         first_token_at: None,
@@ -213,14 +280,14 @@ pub fn run_load_test_observed<S: RequestSource + ?Sized>(
     // Counting these lower bounds keeps the TTFT median defined (and large,
     // as it should be) in deeply saturated regimes where no tracked request
     // is served before the window closes.
-    for fl in in_flight.values() {
+    for fl in in_flight.in_flight() {
         if fl.first_token_at.is_none() && fl.submitted_at >= warmup {
             let waited = engine.clock() - fl.submitted_at;
             if waited > 0.0 {
                 ttfts.push(waited);
                 nttfts.push(waited / fl.input_tokens as f64);
-                if let Some(h) = hists {
-                    h.nttft.record_secs(waited / fl.input_tokens as f64);
+                if let Some(b) = &mut local {
+                    b.nttft.record_secs(waited / fl.input_tokens as f64);
                 }
             }
         }
@@ -268,6 +335,22 @@ mod tests {
         assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&mut [4.0, 1.0, 2.0, 3.0]), 2.5);
         assert!(median(&mut []).is_nan());
+    }
+
+    #[test]
+    fn even_median_takes_the_largest_of_the_lower_half() {
+        // Selection leaves this lower half unsorted: its last slot holds a
+        // negative value, not the lower middle element -0.0.
+        #[rustfmt::skip]
+        let mut values = [
+            0.0, -0.0, -0.0, -76329.26052257995, 1.1359871094192879e-119, 4.0, -0.0, 1.0,
+            -6.848773146788112e-248, 3.0, -0.0, 0.0, -0.0, 0.0, 0.0, -0.0, -0.0,
+            -4.010578132888837e-78, 0.0, 0.0,
+        ];
+        let mut sorted = values;
+        sorted.sort_by(f64::total_cmp);
+        let want = 0.5 * (sorted[9] + sorted[10]);
+        assert_eq!(median(&mut values).to_bits(), want.to_bits());
     }
 
     #[test]

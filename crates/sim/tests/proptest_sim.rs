@@ -1,12 +1,19 @@
-//! Property-based invariants of the simulator: memory accounting, tuning
-//! and the performance model.
+//! Property-based invariants of the simulator: memory accounting, tuning,
+//! the performance model, the load tester's medians and the engine's
+//! phase-histogram bookkeeping.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use llmpilot_sim::gpu::{gpu_catalog, GpuProfile};
-use llmpilot_sim::llm::llm_catalog;
+use llmpilot_obs::hist::Histogram;
+use llmpilot_sim::engine::{AdmissionPolicy, Engine, PhaseHists};
+use llmpilot_sim::gpu::{a100_80, gpu_catalog, GpuProfile};
+use llmpilot_sim::llm::{llama2_13b, llm_catalog};
+use llmpilot_sim::load::median;
 use llmpilot_sim::memory::{MemoryConfig, MemoryModel};
 use llmpilot_sim::perf_model::{PerfModel, PerfModelConfig};
+use llmpilot_sim::request::RequestSpec;
 use llmpilot_sim::tuner::{tune_max_batch_weight, weight_is_valid};
 
 fn any_llm() -> impl Strategy<Value = usize> {
@@ -107,5 +114,112 @@ proptest! {
         let cap = mem.max_sequence_tokens();
         prop_assert!(u64::from(i) + u64::from(o) <= u64::from(cap));
         prop_assert_eq!(mem.cap_request(i, o), (i, o));
+    }
+}
+
+/// Arbitrary `f64`s with the awkward cases overrepresented: duplicates
+/// (small integers), both zeros, and raw bit patterns (NaNs, infinities,
+/// subnormals).
+fn awkward_f64s() -> impl Strategy<Value = Vec<f64>> {
+    prop::collection::vec((0u8..4, 0u64..u64::MAX), 0..64).prop_map(|draws| {
+        draws
+            .into_iter()
+            .map(|(kind, bits)| match kind {
+                0 => (bits % 5) as f64,
+                1 => 0.0,
+                2 => -0.0,
+                _ => f64::from_bits(bits),
+            })
+            .collect()
+    })
+}
+
+/// The median the load tester used to take: fully sort, then read the
+/// middle element(s).
+fn sorted_median(values: &[f64]) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let n = sorted.len();
+    if n == 0 {
+        f64::NAN
+    } else if n % 2 == 1 {
+        sorted[n / 2]
+    } else {
+        0.5 * (sorted[n / 2 - 1] + sorted[n / 2])
+    }
+}
+
+/// The sum of two phase histograms, as one fresh histogram.
+fn union(a: &Histogram, b: &Histogram) -> Histogram {
+    let sum = Histogram::default();
+    sum.merge(a);
+    sum.merge(b);
+    sum
+}
+
+fn small_engine(max_weight: u64, policy: AdmissionPolicy) -> Engine {
+    let perf =
+        PerfModel::new(llama2_13b(), GpuProfile::new(a100_80(), 1), PerfModelConfig::default());
+    Engine::new(perf, max_weight).with_policy(policy)
+}
+
+proptest! {
+    /// The selection-based median is bit-identical to the sorted one,
+    /// for odd and even lengths, duplicates, ±0.0 and non-finite values.
+    #[test]
+    fn median_matches_a_sorted_reference_bit_for_bit(values in awkward_f64s()) {
+        let want = sorted_median(&values);
+        let got = median(&mut values.clone());
+        prop_assert_eq!(got.to_bits(), want.to_bits(), "values {:?}", values);
+    }
+
+    /// An engine cloned mid-run, with both copies stepped to the end and
+    /// dropped, leaves exactly the union of their phase samples in the
+    /// shared sink: the original's whole run plus the clone's steps after
+    /// the split, and nothing from before the split twice.
+    #[test]
+    fn cloned_engine_adds_the_union_of_phase_samples(
+        requests in prop::collection::vec((1u32..400, 1u32..60), 1..12),
+        split in 0usize..40,
+        paged in 0u8..2,
+    ) {
+        let policy = if paged == 1 { AdmissionPolicy::PagedCurrent } else { AdmissionPolicy::ReserveFull };
+        let start = |engine: Engine| {
+            let mut engine = engine;
+            for &(input, output) in &requests {
+                engine.submit(RequestSpec::new(input, output)).unwrap();
+            }
+            for _ in 0..split {
+                engine.step();
+            }
+            engine
+        };
+        let drain = |mut engine: Engine| {
+            while engine.has_work() {
+                engine.step();
+            }
+        };
+
+        let shared = Arc::new(PhaseHists::default());
+        let original = start(small_engine(600, policy).with_phase_hists(Arc::clone(&shared)));
+        let clone = original.clone();
+        drain(clone);
+        drain(original);
+
+        // References: the whole run, and only the steps after the split
+        // (sink attached to an untracked engine at the split).
+        let whole = Arc::new(PhaseHists::default());
+        drain(start(small_engine(600, policy).with_phase_hists(Arc::clone(&whole))));
+        let after = Arc::new(PhaseHists::default());
+        drain(start(small_engine(600, policy)).with_phase_hists(Arc::clone(&after)));
+
+        for (got, a, b) in [
+            (&shared.prefill, &whole.prefill, &after.prefill),
+            (&shared.decode, &whole.decode, &after.decode),
+        ] {
+            let want = union(a, b);
+            prop_assert_eq!(got.nonzero_buckets(), want.nonzero_buckets());
+            prop_assert_eq!(got.summary(), want.summary());
+        }
     }
 }

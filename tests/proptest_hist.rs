@@ -6,13 +6,26 @@
 //!    default two significant figures), at any sample size — including a
 //!    deterministic million-sample case;
 //! 2. merging histograms is exactly equivalent to recording the union of
-//!    their samples (bucket counts are integers, so this is bit-exact).
+//!    their samples (bucket counts are integers, so this is bit-exact);
+//! 3. so is recording into a `LocalHistogram` buffer and adding it in
+//!    with `merge_local`, into an empty or a non-empty histogram.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use llm_pilot::obs::hist::Histogram;
+
+/// Assert two histograms hold the same samples, bucket for bucket.
+fn assert_same(got: &Histogram, want: &Histogram) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.nonzero_buckets(), want.nonzero_buckets());
+    prop_assert_eq!(got.count(), want.count());
+    prop_assert_eq!(got.min(), want.min());
+    prop_assert_eq!(got.max(), want.max());
+    prop_assert_eq!(got.mean().to_bits(), want.mean().to_bits());
+    prop_assert_eq!(got.summary(), want.summary());
+    Ok(())
+}
 
 /// Exact nearest-rank quantile of a sorted sample: the same rank rule
 /// the histogram implements, evaluated without bucketing error.
@@ -87,6 +100,54 @@ proptest! {
         prop_assert_eq!(a.count(), union.count());
         prop_assert_eq!(a.nonzero_buckets(), union.nonzero_buckets());
         prop_assert_eq!(a.summary(), union.summary());
+    }
+
+    /// Recording into a local buffer and adding it in leaves the
+    /// histogram exactly as recording straight into it would, whether the
+    /// histogram already held samples or not; seconds are converted the
+    /// same way on both paths, and a run recorded at once equals its
+    /// samples recorded one by one.
+    #[test]
+    fn local_buffer_merge_equals_direct_recording(
+        before in prop::collection::vec(0u64..u64::MAX, 0..200),
+        values in prop::collection::vec(0u64..4_000_000_000, 0..200),
+        secs in prop::collection::vec(-1.0f64..30.0, 0..50),
+        runs in prop::collection::vec((0u64..u64::MAX, 0u64..5), 0..20),
+        secs_runs in prop::collection::vec((-1.0f64..30.0, 0u64..5), 0..20),
+    ) {
+        let direct = Histogram::default();
+        let merged = Histogram::default();
+        for &v in &before {
+            direct.record(v);
+            merged.record(v);
+        }
+        let mut local = merged.local();
+        for &v in &values {
+            direct.record(v);
+            local.record_n(v, 1);
+        }
+        for &s in &secs {
+            direct.record_secs(s);
+            local.record_secs(s);
+        }
+        for &(v, n) in &runs {
+            for _ in 0..n {
+                direct.record(v);
+            }
+            local.record_n(v, n);
+        }
+        for &(s, n) in &secs_runs {
+            for _ in 0..n {
+                direct.record_secs(s);
+            }
+            local.record_secs_n(s, n);
+        }
+        merged.merge_local(&local);
+        assert_same(&merged, &direct)?;
+
+        // An empty buffer adds nothing.
+        merged.merge_local(&merged.local());
+        assert_same(&merged, &direct)?;
     }
 }
 
