@@ -86,6 +86,11 @@ impl ServingModel {
         self.rows
     }
 
+    /// The trained latency predictor behind [`Self::recommend`].
+    pub fn predictor(&self) -> &PerformancePredictor {
+        &self.predictor
+    }
+
     /// Answer one recommendation query: the cheapest `(GPU profile, #pods)`
     /// deployment of `llm_name` satisfying `request` (Eq. (1)–(3)), with
     /// memory-infeasible profiles excluded up front.

@@ -132,45 +132,57 @@ pub struct Gbdt {
     importance: Vec<f64>,
 }
 
+/// Builds one tree over the rows of a boosting round.
+///
+/// A node's rows are a contiguous range of one row buffer; a split
+/// partitions the range in place, stably, so each child sees its rows in
+/// the parent's order. Split search fills every candidate feature's
+/// histogram in a single pass over the node's rows into one flat buffer
+/// of [`FeatureBins::total_bins`] slots, reused by every node of the fit.
+/// Each slot still receives the same rows in the same order as a
+/// per-feature fill would give it, so every sum — and so every split,
+/// leaf value and prediction — is bit-identical to it.
 struct TreeBuilder<'a> {
     bins: &'a FeatureBins,
-    binned: &'a [u16],
+    /// Row-major global bin slots ([`FeatureBins::bin_matrix`]).
+    binned: &'a [u32],
     n_cols: usize,
     grad: &'a [f64],
     hess: &'a [f64],
     params: &'a GbdtParams,
-    features: Vec<usize>,
+    features: &'a [usize],
     nodes: Vec<Node>,
     /// Per-feature accumulated split gain (XGBoost's `gain` importance).
     gain: &'a mut [f64],
+    /// The flat all-feature histogram, refilled for every split search.
+    hist: &'a mut [GradPair],
+    /// Holds a partition's right-hand rows until they are copied back.
+    spill: &'a mut Vec<u32>,
+    /// Boosted predictions: each leaf adds its shrunk value to its rows.
+    pred: &'a mut [f64],
     recorder: &'a Recorder,
 }
 
 impl TreeBuilder<'_> {
     /// Build a node over `rows`; `bound` is the admissible value interval
     /// inherited from monotone splits above.
-    fn build(&mut self, rows: Vec<u32>, depth: usize, bound: (f64, f64)) -> u32 {
+    fn build(&mut self, rows: &mut [u32], depth: usize, bound: (f64, f64)) -> u32 {
         let mut total = GradPair::default();
-        for &r in &rows {
+        for &r in rows.iter() {
             total.add(self.grad[r as usize], self.hess[r as usize]);
         }
         let clamp = |v: f64| v.clamp(bound.0, bound.1);
-        let node_id = self.nodes.len() as u32;
 
         if depth >= self.params.max_depth || total.h < 2.0 * self.params.min_child_weight {
-            let _leaf_span = self.recorder.span("gbdt.leaf_fit");
-            self.nodes.push(Node::Leaf { value: clamp(total.value(self.params.lambda)) });
-            return node_id;
+            return self.leaf(rows, clamp(total.value(self.params.lambda)));
         }
 
         let split = {
             let _search_span = self.recorder.span("gbdt.split_search").arg("rows", rows.len());
-            self.best_split(&rows, &total, bound)
+            self.best_split(rows, &total, bound)
         };
         let Some(split) = split else {
-            let _leaf_span = self.recorder.span("gbdt.leaf_fit");
-            self.nodes.push(Node::Leaf { value: clamp(total.value(self.params.lambda)) });
-            return node_id;
+            return self.leaf(rows, clamp(total.value(self.params.lambda)));
         };
         let (feature, bin, left_value, right_value, gain) = split;
         self.gain[feature] += gain;
@@ -191,9 +203,10 @@ impl TreeBuilder<'_> {
             }
         };
 
+        let node_id = self.nodes.len() as u32;
         self.nodes.push(Node::Leaf { value: 0.0 }); // placeholder
-        let (left_rows, right_rows): (Vec<u32>, Vec<u32>) =
-            rows.into_iter().partition(|&r| self.binned[r as usize * self.n_cols + feature] <= bin);
+        let n_left = self.partition(rows, feature, bin);
+        let (left_rows, right_rows) = rows.split_at_mut(n_left);
         let left = self.build(left_rows, depth + 1, left_bound);
         let right = self.build(right_rows, depth + 1, right_bound);
         self.nodes[node_id as usize] =
@@ -201,26 +214,68 @@ impl TreeBuilder<'_> {
         node_id
     }
 
+    /// Close a node as a leaf and add its shrunk value to its rows'
+    /// predictions. The binned test `bin(v) <= b` equals the raw test
+    /// `v <= cuts[b]` for every finite `v`, so these rows are exactly the
+    /// rows [`HistTree::predict_row`] routes to this leaf.
+    fn leaf(&mut self, rows: &[u32], value: f64) -> u32 {
+        let _leaf_span = self.recorder.span("gbdt.leaf_fit");
+        for &r in rows {
+            self.pred[r as usize] += self.params.learning_rate * value;
+        }
+        self.nodes.push(Node::Leaf { value });
+        self.nodes.len() as u32 - 1
+    }
+
+    /// Stable in-place partition of `rows` into `bin(feature) <= bin`
+    /// first, the rest after; returns the size of the left part.
+    fn partition(&mut self, rows: &mut [u32], feature: usize, bin: u16) -> usize {
+        let limit = (self.bins.slots(feature).start + usize::from(bin)) as u32;
+        self.spill.clear();
+        let mut n_left = 0;
+        for i in 0..rows.len() {
+            let r = rows[i];
+            if self.binned[r as usize * self.n_cols + feature] <= limit {
+                rows[n_left] = r;
+                n_left += 1;
+            } else {
+                self.spill.push(r);
+            }
+        }
+        rows[n_left..].copy_from_slice(self.spill);
+        n_left
+    }
+
     /// Best `(feature, bin, left_value, right_value, gain)` by gain,
     /// honoring monotone constraints; `None` when nothing beats the parent.
     fn best_split(
-        &self,
+        &mut self,
         rows: &[u32],
         total: &GradPair,
         bound: (f64, f64),
     ) -> Option<(usize, u16, f64, f64, f64)> {
+        // One pass over the rows fills every candidate feature's bins:
+        // consecutive adds go to different features' slots, so they do not
+        // wait on each other even when consecutive rows share a bin.
+        for &f in self.features {
+            self.hist[self.bins.slots(f)].fill(GradPair::default());
+        }
+        for &r in rows {
+            let (g, h) = (self.grad[r as usize], self.hess[r as usize]);
+            let cells = &self.binned[r as usize * self.n_cols..][..self.n_cols];
+            for &f in self.features {
+                self.hist[cells[f] as usize].add(g, h);
+            }
+        }
+
         let lambda = self.params.lambda;
         let parent_score = total.score(lambda);
         let mut best_gain = 1e-9;
         let mut best = None;
 
-        for &f in &self.features {
-            let nbins = self.bins.num_bins(f);
-            let mut hist = vec![GradPair::default(); nbins];
-            for &r in rows {
-                let b = usize::from(self.binned[r as usize * self.n_cols + f]);
-                hist[b].add(self.grad[r as usize], self.hess[r as usize]);
-            }
+        for &f in self.features {
+            let hist = &self.hist[self.bins.slots(f)];
+            let nbins = hist.len();
             let constraint = self.params.monotone_constraints.get(f).copied().unwrap_or(0);
 
             let mut left = GradPair::default();
@@ -318,6 +373,12 @@ impl Gbdt {
         let mut grad = vec![0.0; n];
         let mut hess = vec![0.0; n];
         let mut gain = vec![0.0f64; ds.n_cols()];
+        let mut hist = vec![GradPair::default(); bins.total_bins()];
+        let mut spill = Vec::with_capacity(n);
+        // This round's tree rows, and the rows it leaves out (not
+        // subsampled, or held out for validation).
+        let mut rows: Vec<u32> = Vec::with_capacity(n);
+        let mut left_out: Vec<u32> = Vec::new();
 
         // Optional validation hold-out for early stopping.
         let validation: Vec<usize> = if params.validation_fraction > 0.0 {
@@ -346,15 +407,19 @@ impl Gbdt {
                 hess[i] = w;
             }
 
-            let rows: Vec<u32> = if params.subsample < 1.0 {
-                (0..n as u32)
-                    .filter(|&i| {
-                        !is_validation[i as usize] && rng.random::<f64>() < params.subsample
-                    })
-                    .collect()
-            } else {
-                (0..n as u32).filter(|&i| !is_validation[i as usize]).collect()
-            };
+            rows.clear();
+            left_out.clear();
+            for i in 0..n as u32 {
+                // The RNG is drawn once per non-validation row, and only
+                // when subsampling.
+                let in_tree = !is_validation[i as usize]
+                    && (params.subsample >= 1.0 || rng.random::<f64>() < params.subsample);
+                if in_tree {
+                    rows.push(i);
+                } else {
+                    left_out.push(i);
+                }
+            }
             if rows.is_empty() {
                 continue;
             }
@@ -366,6 +431,8 @@ impl Gbdt {
                 (0..ds.n_cols()).collect()
             };
 
+            // Building the tree also adds its leaf values to the
+            // predictions of its own rows.
             let mut builder = TreeBuilder {
                 bins: &bins,
                 binned: &binned,
@@ -373,16 +440,18 @@ impl Gbdt {
                 grad: &grad,
                 hess: &hess,
                 params,
-                features,
+                features: &features,
                 nodes: Vec::new(),
                 gain: &mut gain,
+                hist: &mut hist,
+                spill: &mut spill,
+                pred: &mut pred,
                 recorder,
             };
-            builder.build(rows, 0, (f64::NEG_INFINITY, f64::INFINITY));
+            builder.build(&mut rows, 0, (f64::NEG_INFINITY, f64::INFINITY));
             let tree = HistTree { nodes: builder.nodes };
-
-            for (i, p) in pred.iter_mut().enumerate().take(n) {
-                *p += params.learning_rate * tree.predict_row(ds.row(i));
+            for &i in &left_out {
+                pred[i as usize] += params.learning_rate * tree.predict_row(ds.row(i as usize));
             }
             trees.push(tree);
 
@@ -728,6 +797,344 @@ mod extension_tests {
             let p = model.predict_row(&[f64::from(i) / 60.0]);
             assert!(p >= last - 1e-9);
             last = p;
+        }
+    }
+}
+
+/// The tree builder as it was before the one-pass histogram fill: one
+/// freshly allocated histogram per feature per node, a `Vec` per child
+/// and `predict_row` over every row after each round. Kept as the oracle
+/// the fit must match bit for bit.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    struct TreeBuilder<'a> {
+        bins: &'a FeatureBins,
+        binned: &'a [u16],
+        n_cols: usize,
+        grad: &'a [f64],
+        hess: &'a [f64],
+        params: &'a GbdtParams,
+        features: Vec<usize>,
+        nodes: Vec<Node>,
+        gain: &'a mut [f64],
+    }
+
+    impl TreeBuilder<'_> {
+        fn build(&mut self, rows: Vec<u32>, depth: usize, bound: (f64, f64)) -> u32 {
+            let mut total = GradPair::default();
+            for &r in &rows {
+                total.add(self.grad[r as usize], self.hess[r as usize]);
+            }
+            let clamp = |v: f64| v.clamp(bound.0, bound.1);
+            let node_id = self.nodes.len() as u32;
+
+            if depth >= self.params.max_depth || total.h < 2.0 * self.params.min_child_weight {
+                self.nodes.push(Node::Leaf { value: clamp(total.value(self.params.lambda)) });
+                return node_id;
+            }
+            let Some(split) = self.best_split(&rows, &total, bound) else {
+                self.nodes.push(Node::Leaf { value: clamp(total.value(self.params.lambda)) });
+                return node_id;
+            };
+            let (feature, bin, left_value, right_value, gain) = split;
+            self.gain[feature] += gain;
+            let threshold = self.bins.threshold_after(feature, bin);
+            let constraint = self.params.monotone_constraints.get(feature).copied().unwrap_or(0);
+            let (left_bound, right_bound) = match constraint {
+                0 => (bound, bound),
+                _ => {
+                    let mid = 0.5 * (left_value + right_value);
+                    if constraint > 0 {
+                        ((bound.0, mid.min(bound.1)), (mid.max(bound.0), bound.1))
+                    } else {
+                        ((mid.max(bound.0), bound.1), (bound.0, mid.min(bound.1)))
+                    }
+                }
+            };
+            self.nodes.push(Node::Leaf { value: 0.0 });
+            let (left_rows, right_rows): (Vec<u32>, Vec<u32>) = rows
+                .into_iter()
+                .partition(|&r| self.binned[r as usize * self.n_cols + feature] <= bin);
+            let left = self.build(left_rows, depth + 1, left_bound);
+            let right = self.build(right_rows, depth + 1, right_bound);
+            self.nodes[node_id as usize] =
+                Node::Split { feature: feature as u32, threshold, left, right };
+            node_id
+        }
+
+        fn best_split(
+            &self,
+            rows: &[u32],
+            total: &GradPair,
+            bound: (f64, f64),
+        ) -> Option<(usize, u16, f64, f64, f64)> {
+            let lambda = self.params.lambda;
+            let parent_score = total.score(lambda);
+            let mut best_gain = 1e-9;
+            let mut best = None;
+            for &f in &self.features {
+                let nbins = self.bins.num_bins(f);
+                let mut hist = vec![GradPair::default(); nbins];
+                for &r in rows {
+                    let b = usize::from(self.binned[r as usize * self.n_cols + f]);
+                    hist[b].add(self.grad[r as usize], self.hess[r as usize]);
+                }
+                let constraint = self.params.monotone_constraints.get(f).copied().unwrap_or(0);
+                let mut left = GradPair::default();
+                for (b, pair) in hist.iter().take(nbins - 1).enumerate() {
+                    left.add(pair.g, pair.h);
+                    let right = GradPair { g: total.g - left.g, h: total.h - left.h };
+                    if left.h < self.params.min_child_weight
+                        || right.h < self.params.min_child_weight
+                    {
+                        continue;
+                    }
+                    let gain = left.score(lambda) + right.score(lambda) - parent_score;
+                    if gain <= best_gain {
+                        continue;
+                    }
+                    let lv = left.value(lambda).clamp(bound.0, bound.1);
+                    let rv = right.value(lambda).clamp(bound.0, bound.1);
+                    if (constraint > 0 && lv > rv) || (constraint < 0 && lv < rv) {
+                        continue;
+                    }
+                    best_gain = gain;
+                    best = Some((f, b as u16, lv, rv, gain));
+                }
+            }
+            best
+        }
+    }
+
+    /// The pre-change `Gbdt::fit` for valid `params`.
+    pub(super) fn fit(ds: &Dataset, params: &GbdtParams) -> Gbdt {
+        let bins = FeatureBins::fit(ds, params.max_bins);
+        let binned: Vec<u16> = (0..ds.n_rows())
+            .flat_map(|i| (0..ds.n_cols()).map(move |f| (i, f)))
+            .map(|(i, f)| bins.bin(f, ds.value(i, f)))
+            .collect();
+        let n = ds.n_rows();
+        let weights = ds.weights_vec();
+        let wsum: f64 = weights.iter().sum();
+        let base_score = if wsum > 0.0 {
+            ds.targets().iter().zip(&weights).map(|(y, w)| y * w).sum::<f64>() / wsum
+        } else {
+            0.0
+        };
+        let mut pred = vec![base_score; n];
+        let mut trees = Vec::with_capacity(params.n_trees);
+        let mut rng = StdRng::seed_from_u64(params.seed);
+        let mut grad = vec![0.0; n];
+        let mut hess = vec![0.0; n];
+        let mut gain = vec![0.0f64; ds.n_cols()];
+        let validation: Vec<usize> = if params.validation_fraction > 0.0 {
+            let k = ((n as f64 * params.validation_fraction).round() as usize).clamp(1, n - 1);
+            sample_without_replacement(n, k, &mut rng)
+        } else {
+            Vec::new()
+        };
+        let mut is_validation = vec![false; n];
+        for &i in &validation {
+            is_validation[i] = true;
+        }
+        let mut best_val_rmse = f64::INFINITY;
+        let mut rounds_without_improvement = 0usize;
+        for _ in 0..params.n_trees {
+            for i in 0..n {
+                let w = if is_validation[i] { 0.0 } else { weights[i] };
+                grad[i] = w * (pred[i] - ds.targets()[i]);
+                hess[i] = w;
+            }
+            let rows: Vec<u32> = if params.subsample < 1.0 {
+                (0..n as u32)
+                    .filter(|&i| {
+                        !is_validation[i as usize] && rng.random::<f64>() < params.subsample
+                    })
+                    .collect()
+            } else {
+                (0..n as u32).filter(|&i| !is_validation[i as usize]).collect()
+            };
+            if rows.is_empty() {
+                continue;
+            }
+            let features: Vec<usize> = if params.colsample < 1.0 {
+                let k =
+                    ((ds.n_cols() as f64 * params.colsample).ceil() as usize).clamp(1, ds.n_cols());
+                sample_without_replacement(ds.n_cols(), k, &mut rng)
+            } else {
+                (0..ds.n_cols()).collect()
+            };
+            let mut builder = TreeBuilder {
+                bins: &bins,
+                binned: &binned,
+                n_cols: ds.n_cols(),
+                grad: &grad,
+                hess: &hess,
+                params,
+                features,
+                nodes: Vec::new(),
+                gain: &mut gain,
+            };
+            builder.build(rows, 0, (f64::NEG_INFINITY, f64::INFINITY));
+            let tree = HistTree { nodes: builder.nodes };
+            for (i, p) in pred.iter_mut().enumerate().take(n) {
+                *p += params.learning_rate * tree.predict_row(ds.row(i));
+            }
+            trees.push(tree);
+            if !validation.is_empty() {
+                let mse: f64 =
+                    validation.iter().map(|&i| (pred[i] - ds.targets()[i]).powi(2)).sum::<f64>()
+                        / validation.len() as f64;
+                let rmse = mse.sqrt();
+                if rmse + 1e-12 < best_val_rmse {
+                    best_val_rmse = rmse;
+                    rounds_without_improvement = 0;
+                } else {
+                    rounds_without_improvement += 1;
+                    if rounds_without_improvement >= params.early_stopping_rounds {
+                        break;
+                    }
+                }
+            }
+        }
+        let total: f64 = gain.iter().sum();
+        if total > 0.0 {
+            for v in &mut gain {
+                *v /= total;
+            }
+        }
+        Gbdt { base_score, trees, learning_rate: params.learning_rate, importance: gain }
+    }
+}
+
+#[cfg(test)]
+mod bit_identity_tests {
+    use proptest::prelude::*;
+
+    use super::*;
+
+    /// One column of a random dataset: how its values are drawn.
+    #[derive(Debug, Clone, Copy)]
+    enum Column {
+        /// A single value in every row.
+        Constant,
+        /// A handful of values, so most rows tie with others.
+        Ties,
+        /// Adjacent floats around 1, where bin cuts round onto values.
+        Adjacent,
+        /// Distinct values over a wide range.
+        Spread,
+    }
+
+    fn column_value(kind: Column, draw: u32) -> f64 {
+        match kind {
+            Column::Constant => 3.5,
+            Column::Ties => f64::from(draw % 4) * 0.25 - 0.5,
+            Column::Adjacent => f64::from_bits(1.0f64.to_bits() + u64::from(draw % 7)),
+            Column::Spread => f64::from(draw) * 1.7e-3 - 900.0,
+        }
+    }
+
+    /// `(dataset, params)` with constant columns, heavy ties, zero
+    /// weights, monotone ±1 and every sampling/regularization knob.
+    fn case() -> impl Strategy<Value = (Dataset, GbdtParams)> {
+        let kinds = prop::sample::select(vec![
+            Column::Constant,
+            Column::Ties,
+            Column::Adjacent,
+            Column::Spread,
+        ]);
+        let columns = prop::collection::vec((kinds, prop::sample::select(vec![-1i8, 0, 1])), 1..5);
+        let rows = prop::collection::vec(
+            (
+                prop::collection::vec(0u32..1_000_000, 4),
+                0u32..8,
+                prop::sample::select(vec![0.0, 0.0, 0.5, 1.0, 1.0, 3.0]),
+            ),
+            2..70,
+        );
+        let knobs = (
+            (1usize..12, 1usize..6, prop::sample::select(vec![0.05, 0.3, 1.0])),
+            (prop::sample::select(vec![1.0, 0.8, 0.5]), prop::sample::select(vec![1.0, 0.7, 0.5])),
+            (prop::sample::select(vec![0.0, 1.0, 0.5]), prop::sample::select(vec![0.0, 1.0])),
+            (
+                prop::sample::select(vec![2usize, 3, 8, 64]),
+                prop::sample::select(vec![0.0, 0.0, 0.2]),
+                1usize..4,
+            ),
+            (0u64..1000, prop::sample::select(vec![false, true])),
+        );
+        (columns, rows, knobs).prop_map(|(columns, rows, knobs)| {
+            let features: Vec<Vec<f64>> = rows
+                .iter()
+                .map(|(draws, _, _)| {
+                    columns
+                        .iter()
+                        .zip(draws)
+                        .map(|(&(kind, _), &d)| column_value(kind, d))
+                        .collect()
+                })
+                .collect();
+            let targets: Vec<f64> = rows
+                .iter()
+                .map(|(draws, t, _)| f64::from(*t) + f64::from(draws[0] % 3) * 0.1)
+                .collect();
+            let weights: Vec<f64> = rows.iter().map(|&(_, _, w)| w).collect();
+            let ds = Dataset::from_rows(&features, targets).unwrap().with_weights(weights).unwrap();
+            let (
+                (n_trees, max_depth, learning_rate),
+                (subsample, colsample),
+                (min_child_weight, lambda),
+                (max_bins, validation_fraction, early_stopping_rounds),
+                (seed, constrained),
+            ) = knobs;
+            let params = GbdtParams {
+                n_trees,
+                max_depth,
+                learning_rate,
+                subsample,
+                colsample,
+                min_child_weight,
+                lambda,
+                max_bins,
+                monotone_constraints: if constrained {
+                    columns.iter().map(|&(_, c)| c).collect()
+                } else {
+                    Vec::new()
+                },
+                validation_fraction,
+                early_stopping_rounds,
+                seed,
+            };
+            (ds, params)
+        })
+    }
+
+    /// Bit patterns, with every NaN mapped to one pattern: Rust leaves the
+    /// sign and payload of a NaN that an operation produces unspecified
+    /// (the compiler may swap the operands of a commutative add), so only
+    /// "is NaN" is part of the result. `lambda 0` with `min_child_weight 0`
+    /// makes `0/0` split scores, so NaNs do occur here.
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| if v.is_nan() { f64::NAN.to_bits() } else { v.to_bits() }).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+        /// The one-pass fit gives the reference builder's model bit for
+        /// bit: same trees, same predictions, same importances.
+        #[test]
+        fn fit_matches_the_reference_builder_bit_for_bit((ds, params) in case()) {
+            let fitted = Gbdt::fit(&ds, &params).unwrap();
+            let oracle = reference::fit(&ds, &params);
+            prop_assert_eq!(fitted.num_trees(), oracle.num_trees());
+            prop_assert_eq!(bits(&fitted.predict(&ds)), bits(&oracle.predict(&ds)));
+            prop_assert_eq!(
+                bits(fitted.feature_importance()),
+                bits(oracle.feature_importance())
+            );
         }
     }
 }

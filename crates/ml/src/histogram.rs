@@ -6,12 +6,19 @@ use crate::dataset::Dataset;
 /// Per-feature quantile binning: values are mapped to small integer bins,
 /// so split finding scans `O(bins)` histogram buckets instead of sorting
 /// samples.
+///
+/// Every feature's bins also get a *global* slot: feature `f`'s bin `b`
+/// is slot `slots(f).start + b` of one flat histogram of
+/// [`Self::total_bins`] slots, which holds all features' bins side by side.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FeatureBins {
     /// Ascending cut points per feature. Bin `b` of feature `f` holds values
     /// `v` with `cuts[f][b-1] < v <= cuts[f][b]`; values above the last cut
     /// land in the final bin.
     cuts: Vec<Vec<f64>>,
+    /// `offsets[f]` is the first global slot of feature `f`;
+    /// `offsets[n_features]` is the total slot count.
+    offsets: Vec<u32>,
 }
 
 impl FeatureBins {
@@ -39,8 +46,15 @@ impl FeatureBins {
                     cuts
                 }
             })
-            .collect();
-        Self { cuts }
+            .collect::<Vec<Vec<f64>>>();
+        let mut offsets = Vec::with_capacity(cuts.len() + 1);
+        let mut next = 0u32;
+        offsets.push(next);
+        for c in &cuts {
+            next += c.len() as u32 + 1;
+            offsets.push(next);
+        }
+        Self { cuts, offsets }
     }
 
     /// Number of features.
@@ -65,12 +79,23 @@ impl FeatureBins {
         self.cuts[feature][usize::from(bin)]
     }
 
-    /// Bin every row of a dataset, row-major.
-    pub fn bin_matrix(&self, ds: &Dataset) -> Vec<u16> {
+    /// The global slots of a feature's bins, one per bin in bin order.
+    pub fn slots(&self, feature: usize) -> std::ops::Range<usize> {
+        self.offsets[feature] as usize..self.offsets[feature + 1] as usize
+    }
+
+    /// Number of global slots: the bins of all features together.
+    pub fn total_bins(&self) -> usize {
+        self.offsets.last().map_or(0, |&t| t as usize)
+    }
+
+    /// Bin every row of a dataset, row-major, as global slots: cell
+    /// `(i, f)` is `slots(f).start + bin(f, value(i, f))`.
+    pub fn bin_matrix(&self, ds: &Dataset) -> Vec<u32> {
         let mut out = Vec::with_capacity(ds.n_rows() * ds.n_cols());
         for i in 0..ds.n_rows() {
             for f in 0..ds.n_cols() {
-                out.push(self.bin(f, ds.value(i, f)));
+                out.push(self.offsets[f] + u32::from(self.bin(f, ds.value(i, f))));
             }
         }
         out
@@ -122,6 +147,16 @@ mod tests {
         let bins = FeatureBins::fit(&d, 8);
         let m = bins.bin_matrix(&d);
         assert_eq!(m.len(), d.n_rows() * d.n_cols());
+        assert_eq!(bins.total_bins(), bins.num_bins(0) + bins.num_bins(1));
+        // Each cell is its feature's offset plus the value's own bin, so
+        // every feature stays inside its slot range.
+        for i in 0..d.n_rows() {
+            for f in 0..d.n_cols() {
+                let slot = m[i * d.n_cols() + f] as usize;
+                assert!(bins.slots(f).contains(&slot));
+                assert_eq!(slot - bins.slots(f).start, usize::from(bins.bin(f, d.value(i, f))));
+            }
+        }
     }
 
     #[test]

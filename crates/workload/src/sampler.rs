@@ -13,6 +13,8 @@
 //! * [`TraceResampler`] — the baseline the paper compares against: draws
 //!   whole historical requests uniformly from the trace collection.
 
+use std::sync::Arc;
+
 use rand::Rng;
 
 use llmpilot_traces::{Param, TraceDataset};
@@ -85,10 +87,13 @@ impl AliasTable {
 }
 
 /// The workload generator's sampler: draws requests from the joint model.
+///
+/// The model and its alias table are immutable once built and shared
+/// behind an `Arc`, so `clone()` — one per load test — is a reference
+/// count bump, not a copy of the joint histogram.
 #[derive(Debug, Clone)]
 pub struct WorkloadSampler {
-    model: WorkloadModel,
-    table: AliasTable,
+    shared: Arc<(WorkloadModel, AliasTable)>,
 }
 
 impl WorkloadSampler {
@@ -96,18 +101,18 @@ impl WorkloadSampler {
     pub fn new(model: WorkloadModel) -> Self {
         let weights: Vec<f64> = model.counts().iter().map(|&c| c as f64).collect();
         let table = AliasTable::new(&weights);
-        Self { model, table }
+        Self { shared: Arc::new((model, table)) }
     }
 
     /// The underlying model.
     pub fn model(&self) -> &WorkloadModel {
-        &self.model
+        &self.shared.0
     }
 
     /// Draw one request from the joint distribution.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> GeneratedRequest {
-        let bin = self.table.sample(rng);
-        self.model.request_from_bin(bin)
+        let (model, table) = &*self.shared;
+        model.request_from_bin(table.sample(rng))
     }
 }
 
@@ -280,6 +285,20 @@ mod tests {
         let mut b = StdRng::seed_from_u64(7);
         for _ in 0..100 {
             assert_eq!(sampler.sample(&mut a), sampler.sample(&mut b));
+        }
+    }
+
+    #[test]
+    fn clone_shares_the_model_and_draws_the_same_stream() {
+        let ds = traces(5_000);
+        let model = WorkloadModel::fit(&ds, &Param::core()).unwrap();
+        let sampler = WorkloadSampler::new(model);
+        let clone = sampler.clone();
+        assert!(Arc::ptr_eq(&sampler.shared, &clone.shared), "clone copied the model");
+        let mut a = StdRng::seed_from_u64(8);
+        let mut b = StdRng::seed_from_u64(8);
+        for _ in 0..100 {
+            assert_eq!(sampler.sample(&mut a), clone.sample(&mut b));
         }
     }
 }
