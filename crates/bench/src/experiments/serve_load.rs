@@ -4,9 +4,9 @@
 //! cache and runs the full predictor search) versus cached (the same
 //! query mix repeated, served from the cache).
 //!
-//! This is the service-level counterpart of the `recommend_query`
-//! Criterion bench: it exercises the whole daemon — HTTP parsing, the
-//! bounded worker pool, cache and metrics — not just the search loop.
+//! It exercises the whole daemon — HTTP parsing, the bounded worker pool,
+//! cache and metrics — not just the search loop, whose per-query cost
+//! perfbench reports as `serving.recommend_us`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -4,10 +4,10 @@
 //!
 //! The benchmark harness regenerating every table and figure of the
 //! LLM-Pilot paper (see DESIGN.md's experiment index). The `experiments`
-//! binary dispatches to the modules in [`experiments`]; the Criterion
-//! benches under `benches/` cover the performance-sensitive claims
-//! (workload sampling speed, engine step cost, tuning cost, model training
-//! and recommendation-query latency).
+//! binary dispatches to the modules in [`experiments`]. Per-layer timings
+//! (engine step, tuner, load test, GBDT training, recommendation query)
+//! come from the seeded, spread-reporting `perfbench` harness at the
+//! repository root, not from this crate.
 
 pub mod experiments;
 

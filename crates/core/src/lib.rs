@@ -18,7 +18,6 @@
 //!   the PARIS/RF/Selecta/Morphling/PerfNet/Static baselines
 //!   ([`baselines`], [`evaluate`]).
 
-pub mod autoscale;
 pub mod baselines;
 pub mod characterize;
 pub mod dataset;
@@ -31,7 +30,6 @@ pub mod serving;
 pub mod sweep;
 pub mod weights;
 
-pub use autoscale::{diurnal_demand, simulate_autoscaler, AutoscaleOutcome, AutoscalerConfig};
 pub use characterize::{
     characterize_cell, CellContext, CellHists, CellOutcome, CharacterizeConfig,
     WorkloadRequestSource,

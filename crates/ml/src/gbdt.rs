@@ -34,9 +34,9 @@ pub struct GbdtParams {
     pub subsample: f64,
     /// Column subsampling rate per tree, in `(0, 1]`.
     pub colsample: f64,
-    /// Minimum hessian (total sample weight) per child.
+    /// Minimum hessian (total sample weight) per child; finite and `>= 0`.
     pub min_child_weight: f64,
-    /// L2 regularization on leaf values.
+    /// L2 regularization on leaf values; finite and `> 0`.
     pub lambda: f64,
     /// Histogram bin budget per feature.
     pub max_bins: usize,
@@ -349,6 +349,14 @@ impl Gbdt {
         if !(0.0..1.0).contains(&params.validation_fraction) {
             return Err(MlError::InvalidConfig("validation_fraction must be in [0, 1)".into()));
         }
+        // A positive `lambda` keeps every `g² / (h + lambda)` split score
+        // finite: zero-weight rows give nodes with zero hessian.
+        if !(params.lambda.is_finite() && params.lambda > 0.0) {
+            return Err(MlError::InvalidConfig("lambda must be finite and > 0".into()));
+        }
+        if !(params.min_child_weight.is_finite() && params.min_child_weight >= 0.0) {
+            return Err(MlError::InvalidConfig("min_child_weight must be finite and >= 0".into()));
+        }
 
         let (bins, binned) = {
             let _hist_span = recorder.span("gbdt.histogram").arg("max_bins", params.max_bins);
@@ -652,6 +660,29 @@ mod tests {
             &GbdtParams { monotone_constraints: vec![1], ..GbdtParams::default() }
         )
         .is_err());
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(Gbdt::fit(&ds, &GbdtParams { lambda: bad, ..GbdtParams::default() }).is_err());
+        }
+        for bad in [-0.5, f64::NAN, f64::INFINITY] {
+            let params = GbdtParams { min_child_weight: bad, ..GbdtParams::default() };
+            assert!(Gbdt::fit(&ds, &params).is_err());
+        }
+    }
+
+    #[test]
+    fn zero_hessian_nodes_need_a_positive_lambda() {
+        // 36 rows, one column, two thirds weightless: with `lambda 0`
+        // a node of weightless rows scores `0/0`, and the NaN split would win.
+        let rows: Vec<Vec<f64>> = (0..36).map(|i| vec![f64::from(i)]).collect();
+        let targets: Vec<f64> = (0..36).map(|i| f64::from(i % 5)).collect();
+        let weights: Vec<f64> = (0..36).map(|i| if i % 3 == 0 { 1.0 } else { 0.0 }).collect();
+        let ds = Dataset::from_rows(&rows, targets).unwrap().with_weights(weights).unwrap();
+        let unregularized =
+            GbdtParams { lambda: 0.0, min_child_weight: 0.0, ..GbdtParams::default() };
+        assert!(matches!(Gbdt::fit(&ds, &unregularized), Err(MlError::InvalidConfig(_))));
+        let params = GbdtParams { min_child_weight: 0.0, ..GbdtParams::default() };
+        let model = Gbdt::fit(&ds, &params).unwrap();
+        assert!(model.feature_importance().iter().all(|v| v.is_finite()));
     }
 
     #[test]
@@ -1112,21 +1143,22 @@ mod bit_identity_tests {
         })
     }
 
-    /// Bit patterns, with every NaN mapped to one pattern: Rust leaves the
-    /// sign and payload of a NaN that an operation produces unspecified
-    /// (the compiler may swap the operands of a commutative add), so only
-    /// "is NaN" is part of the result. `lambda 0` with `min_child_weight 0`
-    /// makes `0/0` split scores, so NaNs do occur here.
     fn bits(values: &[f64]) -> Vec<u64> {
-        values.iter().map(|v| if v.is_nan() { f64::NAN.to_bits() } else { v.to_bits() }).collect()
+        values.iter().map(|v| v.to_bits()).collect()
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(1024))]
         /// The one-pass fit gives the reference builder's model bit for
-        /// bit: same trees, same predictions, same importances.
+        /// bit: same trees, same predictions, same importances. `lambda 0`
+        /// cases must be rejected instead (the reference builder does not
+        /// validate and can score `0/0` there).
         #[test]
         fn fit_matches_the_reference_builder_bit_for_bit((ds, params) in case()) {
+            if params.lambda == 0.0 {
+                prop_assert!(matches!(Gbdt::fit(&ds, &params), Err(MlError::InvalidConfig(_))));
+                return Ok(());
+            }
             let fitted = Gbdt::fit(&ds, &params).unwrap();
             let oracle = reference::fit(&ds, &params);
             prop_assert_eq!(fitted.num_trees(), oracle.num_trees());

@@ -10,8 +10,9 @@
 //! exact nearest-rank answer on the underlying samples.
 //!
 //! Recording is a single `fetch_add` on an `AtomicU64` slot (plus atomic
-//! count/sum/min/max bookkeeping), so one histogram can be shared across a
-//! `rayon` pool with no locks. [`Histogram::merge`] adds another
+//! count/sum/min/max bookkeeping), so one histogram can be shared across
+//! threads with no locks (the workspace's `rayon` shim is sequential, so
+//! the sweep records from one thread). [`Histogram::merge`] adds another
 //! histogram's slots in, which is exactly equivalent to having recorded
 //! the union of both sample sets.
 //!

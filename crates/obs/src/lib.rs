@@ -28,9 +28,11 @@
 //! * [`flight`] — a bounded ring-buffer flight recorder (built on
 //!   [`Recorder::ring`]) for post-mortem dumps of failed sweep cells.
 //!
-//! Worker pools are safe by construction: `rayon`-style workers each
-//! register their own buffer on first use, and [`Recorder::snapshot`]
-//! merges all buffers into one time-ordered [`Trace`].
+//! Recording from several threads is safe by construction: each thread
+//! registers its own buffer on first use, and [`Recorder::snapshot`]
+//! merges all buffers into one time-ordered [`Trace`]. The workspace's
+//! `rayon` shim is sequential, so its fan-outs record from one thread;
+//! the tests spawn `std::thread` workers.
 
 pub mod check;
 pub mod chrome;

@@ -4,7 +4,9 @@
 //! cluster load-balances users across pods, which operate independently —
 //! which is why the paper observes near-perfect scaling of throughput with
 //! the number of pods. Pods are independent sequential simulators, so the
-//! deployment runs them in parallel with rayon.
+//! deployment fans them out with `par_iter`; the workspace's offline
+//! `rayon` shim runs that fan-out sequentially, in pod order, on the
+//! calling thread.
 
 use rayon::prelude::*;
 
