@@ -20,8 +20,10 @@
 //!   snapshot), and `sweep.finished`.
 //!
 //! [`EventSink`] mirrors [`crate::Recorder`]: cloning is cheap, the
-//! disabled sink is a true no-op, and emission never fails the run (I/O
-//! errors are swallowed). [`WatchState`] is the line-per-cell progress
+//! disabled sink is a true no-op, and emission never fails the run. The
+//! first failed write ends the stream, so a torn line can only be its
+//! last; that event and every later one are counted in
+//! [`EventSink::events_dropped`]. [`WatchState`] is the line-per-cell progress
 //! renderer behind `llm-pilot watch`; the structural validator lives in
 //! [`crate::check::check_events`].
 
@@ -39,7 +41,14 @@ pub const SCHEMA_VERSION: u64 = 1;
 
 struct SinkInner {
     start: Instant,
-    out: Mutex<Box<dyn Write + Send>>,
+    out: Mutex<SinkOut>,
+}
+
+/// The stream and how many events failed to reach it.
+struct SinkOut {
+    writer: Box<dyn Write + Send>,
+    /// Events not written: the one whose write failed and all after it.
+    dropped: u64,
 }
 
 impl std::fmt::Debug for SinkInner {
@@ -80,7 +89,10 @@ impl EventSink {
     /// so external tails see events promptly.
     pub fn to_writer(out: Box<dyn Write + Send>) -> Self {
         EventSink {
-            inner: Some(Arc::new(SinkInner { start: Instant::now(), out: Mutex::new(out) })),
+            inner: Some(Arc::new(SinkInner {
+                start: Instant::now(),
+                out: Mutex::new(SinkOut { writer: out, dropped: 0 }),
+            })),
         }
     }
 
@@ -105,11 +117,25 @@ impl EventSink {
         self.inner.is_some()
     }
 
+    /// Events that could not be written: after the first failed write
+    /// (which may have left a partial line) the sink writes nothing more
+    /// and counts every event instead. Always 0 for the disabled sink.
+    pub fn events_dropped(&self) -> u64 {
+        self.inner
+            .as_ref()
+            .map_or(0, |inner| inner.out.lock().unwrap_or_else(PoisonError::into_inner).dropped)
+    }
+
     /// Append one event line. `fields` follow the envelope (`v`, `ts_ms`,
-    /// `event`); I/O errors are swallowed — telemetry never fails a run.
+    /// `event`). Telemetry never fails a run: an I/O error stops the
+    /// stream and is counted in [`EventSink::events_dropped`].
     pub fn emit(&self, event: &str, fields: &[(&str, ArgValue)]) {
         let Some(inner) = &self.inner else { return };
         let mut out = inner.out.lock().unwrap_or_else(PoisonError::into_inner);
+        if out.dropped > 0 {
+            out.dropped += 1;
+            return;
+        }
         // Timestamp under the lock: lines are monotone by construction.
         let ts_ms = inner.start.elapsed().as_nanos() as f64 / 1e6;
         let mut w = JsonWriter::with_capacity(160);
@@ -131,10 +157,11 @@ impl EventSink {
             }
         }
         w.end_object();
-        let line = w.finish();
-        let _ = out.write_all(line.as_bytes());
-        let _ = out.write_all(b"\n");
-        let _ = out.flush();
+        let mut line = w.finish();
+        line.push('\n');
+        if out.writer.write_all(line.as_bytes()).and_then(|()| out.writer.flush()).is_err() {
+            out.dropped = 1;
+        }
     }
 
     /// `sweep.started`: the grid size, how many cells the journal already
@@ -512,6 +539,52 @@ mod tests {
                 assert!(v.get(field).is_some(), "{event} missing {field}");
             }
         }
+    }
+
+    /// A writer that accepts `budget` bytes, then fails every write.
+    struct FailAfter {
+        budget: usize,
+        written: Arc<Mutex<Vec<u8>>>,
+    }
+
+    impl Write for FailAfter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.budget == 0 {
+                return Err(std::io::Error::other("disk full"));
+            }
+            let n = buf.len().min(self.budget);
+            self.budget -= n;
+            self.written.lock().unwrap().extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failed_write_stops_the_stream_and_counts_the_dropped_events() {
+        let (probe, probe_buf) = EventSink::to_buffer();
+        probe.sweep_started(4, 0, 3);
+        let line_len = drain(&probe_buf).len();
+        // Room for one whole line and half of the next.
+        let written = Arc::new(Mutex::new(Vec::new()));
+        let sink = EventSink::to_writer(Box::new(FailAfter {
+            budget: line_len + line_len / 2,
+            written: Arc::clone(&written),
+        }));
+        for _ in 0..5 {
+            sink.sweep_started(4, 0, 3);
+        }
+        assert_eq!(sink.events_dropped(), 4);
+        assert_eq!(sink.clone().events_dropped(), 4, "clones share the count");
+        let text = drain(&written);
+        assert_eq!(text.len(), line_len + line_len / 2, "nothing written after the failure");
+        assert_eq!(text.lines().count(), 2);
+        // The torn line is the stream's last, which the validator accepts.
+        let stats = crate::check::check_events(&text).unwrap();
+        assert!(stats.truncated_tail);
+        assert_eq!(EventSink::disabled().events_dropped(), 0);
     }
 
     #[test]

@@ -56,12 +56,48 @@ pub struct Completion {
     pub spec: RequestSpec,
 }
 
-/// Result of one engine iteration.
+/// Result of one engine iteration, with one emission per request that
+/// produced tokens.
 #[derive(Debug, Clone, Default)]
 pub struct StepResult {
     /// Tokens emitted during the iteration.
     pub emissions: Vec<TokenEmission>,
     /// Requests that finished at the end of the iteration.
+    pub completions: Vec<Completion>,
+}
+
+/// A request admitted to the running batch in one iteration; it emits its
+/// next token out of prompt processing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Admission {
+    /// Which request was admitted.
+    pub id: RequestId,
+    /// `None` when the emitted token is the request's first. For a request
+    /// resumed after a paged preemption, the time of its last emission
+    /// before it was preempted.
+    pub resumed_after: Option<f64>,
+}
+
+/// One engine iteration as a compact record: what [`Engine::step_into`]
+/// writes into buffers the caller owns and reuses across steps.
+///
+/// Every request that was already running emits one token per sequence at
+/// `time` and last emitted at `previous`, so a step with no admission and
+/// no completion is described in O(1) no matter how large the batch is.
+#[derive(Debug, Clone, Default)]
+pub struct StepRecord {
+    /// Virtual time at which the step's tokens arrive (the clock after it).
+    pub time: f64,
+    /// Time of the engine's previous step with work: when every request
+    /// counted in `decoded` last emitted.
+    pub previous: f64,
+    /// Requests that were already running and emitted one decode token.
+    pub decoded: u32,
+    /// Tokens emitted, decoded and admitted requests together.
+    pub tokens: u64,
+    /// Requests admitted this step, in admission order.
+    pub admitted: Vec<Admission>,
+    /// Requests that finished at the end of the step.
     pub completions: Vec<Completion>,
 }
 
@@ -81,26 +117,23 @@ pub enum AdmissionPolicy {
     PagedCurrent,
 }
 
+/// A request the engine holds, queued or running.
 #[derive(Debug, Clone)]
-struct QueuedRequest {
+struct Request {
     id: RequestId,
     spec: RequestSpec,
     submitted_at: f64,
-    /// Output tokens already generated before a preemption (0 for fresh
-    /// requests); recomputed on re-admission without re-emission.
+    /// Output tokens generated so far per sequence. A queued request with
+    /// progress was preempted; its tokens are recomputed on re-admission
+    /// without re-emission.
     generated: u32,
+    /// When the request was last preempted, which is also its last
+    /// emission (preemption ends a step in which every running request
+    /// emitted); read when a request with `generated > 0` is re-admitted.
+    preempted_at: f64,
 }
 
-#[derive(Debug, Clone)]
-struct RunningRequest {
-    id: RequestId,
-    spec: RequestSpec,
-    submitted_at: f64,
-    /// Output tokens generated so far per sequence.
-    generated: u32,
-}
-
-impl RunningRequest {
+impl Request {
     /// KV-cache tokens currently held by this request.
     fn kv_tokens(&self) -> u64 {
         u64::from(self.spec.batch_size)
@@ -158,9 +191,13 @@ pub struct Engine {
     max_batch_weight: u64,
     policy: AdmissionPolicy,
     clock: f64,
+    /// Clock of the previous step with work ([`StepRecord::previous`]).
+    last_step_at: f64,
     next_id: u64,
-    queue: VecDeque<QueuedRequest>,
-    running: Vec<RunningRequest>,
+    queue: VecDeque<Request>,
+    /// Running requests; a step's admissions are appended after the ones
+    /// already decoding.
+    running: Vec<Request>,
     /// Cached Σ weight of running requests (full reservation).
     running_weight: u64,
     /// Cached Σ KV tokens currently held by the running batch.
@@ -185,6 +222,7 @@ impl Engine {
             max_batch_weight,
             policy: AdmissionPolicy::ReserveFull,
             clock: 0.0,
+            last_step_at: 0.0,
             next_id: 0,
             queue: VecDeque::new(),
             running: Vec::new(),
@@ -321,15 +359,21 @@ impl Engine {
         }
         let id = RequestId(self.next_id);
         self.next_id += 1;
-        self.queue.push_back(QueuedRequest { id, spec, submitted_at: self.clock, generated: 0 });
+        self.queue.push_back(Request {
+            id,
+            spec,
+            submitted_at: self.clock,
+            generated: 0,
+            preempted_at: 0.0,
+        });
         Ok(id)
     }
 
     /// Admit queued requests (FIFO, head-of-line blocking like TGIS) while
-    /// they fit under the maximum batch weight. Returns the newly admitted
-    /// requests.
-    fn admit(&mut self) -> Vec<RunningRequest> {
-        let mut admitted = Vec::new();
+    /// they fit under the maximum batch weight, appending them to the
+    /// running batch. Only the running weight is updated here; the step
+    /// adds their KV tokens and sequences once it has costed them.
+    fn admit(&mut self) {
         // Paged admission charges only what the request will cache *now*:
         // prompt (+ any recomputed progress) plus its next token.
         let mut paged_tokens = self.current_kv_tokens();
@@ -351,14 +395,8 @@ impl Engine {
             self.running_weight += q.spec.weight();
             paged_tokens += u64::from(q.spec.batch_size)
                 * (u64::from(q.spec.input_tokens) + u64::from(q.generated) + 1);
-            admitted.push(RunningRequest {
-                id: q.id,
-                spec: q.spec,
-                submitted_at: q.submitted_at,
-                generated: q.generated,
-            });
+            self.running.push(q);
         }
-        admitted
     }
 
     /// Paged policy: when the cache outgrows the budget, preempt the newest
@@ -375,17 +413,13 @@ impl Engine {
                 .max_by_key(|(_, r)| r.id)
                 .map(|(i, _)| i)
                 .expect("running nonempty");
-            let victim = self.running.swap_remove(newest);
+            let mut victim = self.running.swap_remove(newest);
             self.running_weight -= victim.spec.weight();
             self.running_kv_tokens -= victim.kv_tokens();
             self.running_seqs -= victim.spec.batch_size;
             self.preemptions += 1;
-            self.queue.push_front(QueuedRequest {
-                id: victim.id,
-                spec: victim.spec,
-                submitted_at: victim.submitted_at,
-                generated: victim.generated,
-            });
+            victim.preempted_at = self.clock;
+            self.queue.push_front(victim);
         }
     }
 
@@ -394,26 +428,57 @@ impl Engine {
     /// and retire completed requests.
     ///
     /// Returns an empty [`StepResult`] without advancing time when there is
-    /// no work.
+    /// no work. The emissions come first from the requests that were
+    /// already running, in batch order, then from the admitted ones.
     pub fn step(&mut self) -> StepResult {
+        let mut record = StepRecord::default();
+        let mut emissions = Vec::new();
+        self.run_step(&mut record, Some(&mut emissions));
+        StepResult { emissions, completions: record.completions }
+    }
+
+    /// Run one engine iteration, exactly as [`Engine::step`], and describe
+    /// it in `record`, whose buffers are cleared and reused. Costs O(1)
+    /// beyond the engine's own per-sequence work when nothing is admitted
+    /// or completed. Without work, the record is empty and time stands
+    /// still.
+    pub fn step_into(&mut self, record: &mut StepRecord) {
+        self.run_step(record, None);
+    }
+
+    /// The one step implementation behind [`Engine::step`] and
+    /// [`Engine::step_into`]; `emissions`, when given, also gets one
+    /// [`TokenEmission`] per request that emitted.
+    fn run_step(
+        &mut self,
+        record: &mut StepRecord,
+        mut emissions: Option<&mut Vec<TokenEmission>>,
+    ) {
+        record.time = self.clock;
+        record.previous = self.last_step_at;
+        record.decoded = 0;
+        record.tokens = 0;
+        record.admitted.clear();
+        record.completions.clear();
         if !self.has_work() {
-            return StepResult::default();
+            return;
         }
         let _step_span = self.recorder.span("engine.step");
         self.recorder.counter_add("engine.steps", 1);
 
-        let admitted = {
+        let decoding = self.running.len();
+        {
             let _span = self.recorder.span("engine.admission");
-            self.admit()
-        };
+            self.admit();
+        }
 
         // Decode cost for the sequences that were already running.
         let mut step_time = {
             let _span = self.recorder.span("engine.decode");
             let old_seqs = self.running_seqs;
             if old_seqs > 0 {
-                let kv_tokens =
-                    self.running_kv_tokens + admitted.iter().map(|r| r.kv_tokens()).sum::<u64>();
+                let kv_tokens = self.running_kv_tokens
+                    + self.running[decoding..].iter().map(|r| r.kv_tokens()).sum::<u64>();
                 let t = self.perf.decode_step_time(old_seqs, kv_tokens);
                 if let Some(h) = &mut self.phase_hists {
                     h.decode.record_secs(t);
@@ -429,7 +494,7 @@ impl Engine {
         // tokens already generated.
         {
             let _span = self.recorder.span("engine.prefill");
-            for r in &admitted {
+            for r in &self.running[decoding..] {
                 let t = self.perf.prefill_time(r.spec.input_tokens + r.generated)
                     * r.spec.batch_size as f64;
                 if let Some(h) = &mut self.phase_hists {
@@ -441,20 +506,21 @@ impl Engine {
         let now = self.clock + step_time;
         self.clock = now;
         let tokens_before = self.total_tokens_emitted;
-        let mut result = StepResult {
-            emissions: Vec::with_capacity(self.running.len() + admitted.len()),
-            completions: Vec::new(),
-        };
 
+        if let Some(out) = emissions.as_deref_mut() {
+            out.reserve_exact(self.running.len());
+        }
         // Previously running sequences each produce one decode token.
-        for r in &mut self.running {
+        for r in &mut self.running[..decoding] {
             r.generated += 1;
-            result.emissions.push(TokenEmission {
-                id: r.id,
-                time: now,
-                count: r.spec.batch_size,
-                is_first: false,
-            });
+            if let Some(out) = emissions.as_deref_mut() {
+                out.push(TokenEmission {
+                    id: r.id,
+                    time: now,
+                    count: r.spec.batch_size,
+                    is_first: false,
+                });
+            }
         }
         // One more cached token per running sequence.
         self.running_kv_tokens += u64::from(self.running_seqs);
@@ -462,19 +528,21 @@ impl Engine {
         // Admitted requests produce their next token out of prefill: the
         // *first* token for fresh requests; recomputed requests resume
         // emitting where they left off.
-        for mut r in admitted {
-            let is_first = r.generated == 0;
+        for r in &mut self.running[decoding..] {
+            let resumed_after = (r.generated > 0).then_some(r.preempted_at);
+            record.admitted.push(Admission { id: r.id, resumed_after });
+            if let Some(out) = emissions.as_deref_mut() {
+                out.push(TokenEmission {
+                    id: r.id,
+                    time: now,
+                    count: r.spec.batch_size,
+                    is_first: resumed_after.is_none(),
+                });
+            }
             r.generated += 1;
-            result.emissions.push(TokenEmission {
-                id: r.id,
-                time: now,
-                count: r.spec.batch_size,
-                is_first,
-            });
             self.total_tokens_emitted += u64::from(r.spec.batch_size);
             self.running_kv_tokens += r.kv_tokens();
             self.running_seqs += r.spec.batch_size;
-            self.running.push(r);
         }
 
         // Retire completed requests and free their weight.
@@ -485,7 +553,7 @@ impl Engine {
                 self.running_weight -= done.spec.weight();
                 self.running_kv_tokens -= done.kv_tokens();
                 self.running_seqs -= done.spec.batch_size;
-                result.completions.push(Completion {
+                record.completions.push(Completion {
                     id: done.id,
                     time: now,
                     submitted_at: done.submitted_at,
@@ -503,7 +571,10 @@ impl Engine {
         }
         self.recorder
             .counter_add("engine.tokens_emitted", self.total_tokens_emitted - tokens_before);
-        result
+        self.last_step_at = now;
+        record.time = now;
+        record.decoded = decoding as u32;
+        record.tokens = self.total_tokens_emitted - tokens_before;
     }
 }
 
@@ -883,6 +954,49 @@ mod paged_tests {
             }
             assert_eq!((e.current_kv_tokens(), e.running_seqs), (0, 0));
         }
+    }
+
+    /// A step record describes the same iteration as `step()`'s
+    /// emissions: same time, token count and admissions, the decoding
+    /// requests all last emitted at `previous`, and a resumed request at
+    /// its last emission before preemption.
+    #[test]
+    fn step_records_describe_the_same_steps_as_emissions() {
+        let mut by_emission = engine(900, AdmissionPolicy::PagedCurrent);
+        for (i, o, b) in [(200, 250, 1), (200, 250, 1), (150, 120, 2), (100, 300, 1)] {
+            by_emission.submit(RequestSpec::batched(i, o, b)).unwrap();
+        }
+        let mut by_record = by_emission.clone();
+        let mut last_emission = std::collections::HashMap::new();
+        let mut record = StepRecord::default();
+        let mut resumed = 0;
+        while by_emission.has_work() {
+            let previous_step = by_emission.clock();
+            let result = by_emission.step();
+            by_record.step_into(&mut record);
+            assert_eq!(record.time.to_bits(), by_emission.clock().to_bits());
+            assert_eq!(record.completions, result.completions);
+            let tokens: u64 = result.emissions.iter().map(|em| u64::from(em.count)).sum();
+            assert_eq!(record.tokens, tokens);
+            let (decoded, admitted) = result.emissions.split_at(record.decoded as usize);
+            assert_eq!(admitted.len(), record.admitted.len());
+            for em in decoded {
+                assert!(!em.is_first);
+                assert_eq!(last_emission[&em.id], record.previous);
+                assert_eq!(record.previous, previous_step);
+            }
+            for (em, a) in admitted.iter().zip(&record.admitted) {
+                assert_eq!((em.id, em.is_first), (a.id, a.resumed_after.is_none()));
+                if let Some(at) = a.resumed_after {
+                    assert_eq!(last_emission[&em.id], at);
+                    resumed += 1;
+                }
+            }
+            for em in &result.emissions {
+                last_emission.insert(em.id, em.time);
+            }
+        }
+        assert!(resumed > 0, "the case must resume a preempted request");
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! performance metrics: TTFT, normalized TTFT, inter-token latency and
 //! throughput — all medians/totals over a fixed-duration window.
 
-use llmpilot_obs::hist::{Histogram, LocalHistogram};
+use llmpilot_obs::hist::Histogram;
 
-use crate::engine::{Engine, RequestId};
+use crate::engine::{Engine, RequestId, StepRecord};
 use crate::error::SimError;
 use crate::fault::LoadFaults;
 use crate::memory::MemoryModel;
@@ -81,6 +81,54 @@ pub fn median(values: &mut [f64]) -> f64 {
     }
 }
 
+/// Median of a multiset given as `(value, count)` runs; `NaN` when it is
+/// empty. Reorders `runs`.
+///
+/// Selects the same `f64::total_cmp` order statistics as [`median`] on the
+/// expanded values, so the result is bit-identical, in expected time linear
+/// in the number of runs rather than in the number of values.
+pub fn median_of_runs(runs: &mut [(f64, u64)]) -> f64 {
+    let n: u64 = runs.iter().map(|&(_, count)| count).sum();
+    if n == 0 {
+        return f64::NAN;
+    }
+    let rank = n / 2;
+    // Weighted quickselect: keep `runs[..lo] <= runs[lo..hi] <= runs[hi..]`
+    // with `below` values in `runs[..lo]` and the rank inside `lo..hi`.
+    let (mut lo, mut hi, mut below) = (0, runs.len(), 0u64);
+    let at = loop {
+        let k = lo + (hi - lo) / 2;
+        runs[lo..hi].select_nth_unstable_by(k - lo, |a, b| a.0.total_cmp(&b.0));
+        let left: u64 = runs[lo..k].iter().map(|&(_, count)| count).sum();
+        if rank < below + left {
+            hi = k;
+        } else if rank < below + left + runs[k].1 {
+            below += left;
+            break k;
+        } else {
+            below += left + runs[k].1;
+            lo = k + 1;
+        }
+    };
+    let upper = runs[at].0;
+    if n % 2 == 1 {
+        return upper;
+    }
+    let lower = if rank > below {
+        // The lower middle value is in the same run.
+        upper
+    } else {
+        // The lower middle is the largest value left of the upper one.
+        runs[..at]
+            .iter()
+            .filter(|&&(_, count)| count > 0)
+            .map(|&(value, _)| value)
+            .max_by(f64::total_cmp)
+            .expect("rank >= 1 values lie below")
+    };
+    0.5 * (lower + upper)
+}
+
 /// Clamp a sampled request so the engine can admit it: sequence-length caps
 /// from the memory model, then batch-size reduction until the weight fits
 /// under the engine's maximum batch weight.
@@ -103,39 +151,54 @@ pub struct SampleHists {
     pub itl: Histogram,
 }
 
-/// One load test's own sample buffers, added into the caller's
-/// [`SampleHists`] when dropped — on every exit of the test, including an
-/// injected fault's early return, so an aborted test's samples are kept.
-struct SampleBuffers<'a> {
-    sink: &'a SampleHists,
-    nttft: LocalHistogram,
-    itl: LocalHistogram,
-    /// A run of equal inter-token gaps not yet in `itl`, as (gap, count):
-    /// every request decoding through consecutive steps sees the same gap,
-    /// so one step's emissions form one run.
-    itl_run: (f64, u64),
+/// The samples one load test collects for its medians. With a sink, they
+/// are also recorded into its histograms when dropped — on every exit of
+/// the test, including an injected fault's early return, so an aborted
+/// test's samples are kept.
+struct Samples<'a> {
+    sink: Option<&'a SampleHists>,
+    ttfts: Vec<f64>,
+    nttfts: Vec<f64>,
+    /// Inter-token gaps as `(gap, count)` runs: every request decoding in
+    /// one step sees the same gap, so a step adds one run, not one value
+    /// per request.
+    gaps: Vec<(f64, u64)>,
+    e2es: Vec<f64>,
 }
 
-impl<'a> SampleBuffers<'a> {
-    fn new(sink: &'a SampleHists) -> Self {
-        SampleBuffers { sink, nttft: sink.nttft.local(), itl: sink.itl.local(), itl_run: (0.0, 0) }
+impl<'a> Samples<'a> {
+    fn new(sink: Option<&'a SampleHists>) -> Self {
+        Samples { sink, ttfts: Vec::new(), nttfts: Vec::new(), gaps: Vec::new(), e2es: Vec::new() }
     }
 
-    fn record_itl(&mut self, gap: f64) {
-        if gap.to_bits() == self.itl_run.0.to_bits() {
-            self.itl_run.1 += 1;
-        } else {
-            self.itl.record_secs_n(self.itl_run.0, self.itl_run.1);
-            self.itl_run = (gap, 1);
+    /// Record `count` (> 0) inter-token gaps of `gap`.
+    fn push_gaps(&mut self, gap: f64, count: u64) {
+        match self.gaps.last_mut() {
+            Some(run) if run.0.to_bits() == gap.to_bits() => run.1 += count,
+            _ => self.gaps.push((gap, count)),
         }
     }
+
+    /// Record a (possibly censored) TTFT of a request with `input_tokens`.
+    fn push_ttft(&mut self, ttft: f64, input_tokens: u32) {
+        self.ttfts.push(ttft);
+        self.nttfts.push(ttft / input_tokens as f64);
+    }
 }
 
-impl Drop for SampleBuffers<'_> {
+impl Drop for Samples<'_> {
     fn drop(&mut self) {
-        self.itl.record_secs_n(self.itl_run.0, self.itl_run.1);
-        self.sink.nttft.merge_local(&self.nttft);
-        self.sink.itl.merge_local(&self.itl);
+        let Some(sink) = self.sink else { return };
+        let mut nttft = sink.nttft.local();
+        for &value in &self.nttfts {
+            nttft.record_secs(value);
+        }
+        let mut itl = sink.itl.local();
+        for &(gap, count) in &self.gaps {
+            itl.record_secs_n(gap, count);
+        }
+        sink.nttft.merge_local(&nttft);
+        sink.itl.merge_local(&itl);
     }
 }
 
@@ -143,8 +206,8 @@ impl Drop for SampleBuffers<'_> {
 struct InFlight {
     submitted_at: f64,
     input_tokens: u32,
-    first_token_at: Option<f64>,
-    last_token_at: Option<f64>,
+    /// Whether the request's first token arrived.
+    started: bool,
 }
 
 /// The requests a load test has submitted, indexed by [`RequestId`]: the
@@ -157,12 +220,25 @@ struct InFlightSlab {
 }
 
 impl InFlightSlab {
-    fn insert(&mut self, id: RequestId, request: InFlight) {
+    /// Submit the next request from `source` at the engine's clock.
+    fn submit<S: RequestSource + ?Sized>(
+        &mut self,
+        engine: &mut Engine,
+        mem: &MemoryModel,
+        source: &mut S,
+    ) -> Result<(), SimError> {
+        let spec = fit_request(mem, engine.max_batch_weight(), source.next_request());
+        let id = engine.submit(spec)?;
         if self.slots.is_empty() {
             self.first_id = id.0;
         }
         assert_eq!(id.0, self.first_id + self.slots.len() as u64, "request ids are sequential");
-        self.slots.push(Some(request));
+        self.slots.push(Some(InFlight {
+            submitted_at: engine.clock(),
+            input_tokens: spec.input_tokens,
+            started: false,
+        }));
+        Ok(())
     }
 
     fn slot(&mut self, id: RequestId) -> &mut Option<InFlight> {
@@ -188,6 +264,10 @@ impl InFlightSlab {
 /// of the test's own, which are added into `hists` when the test returns,
 /// with metrics or with an error. Neither faults that do not fire nor
 /// observation change the returned metrics.
+///
+/// The tester reads each iteration as a [`StepRecord`], so a step that
+/// admits and completes nothing costs it O(1): all its decoding requests
+/// share one inter-token gap, kept as one `(gap, count)` run.
 pub fn run_load_test_observed<S: RequestSource + ?Sized>(
     engine: &mut Engine,
     mem: &MemoryModel,
@@ -199,78 +279,50 @@ pub fn run_load_test_observed<S: RequestSource + ?Sized>(
     let users = config.concurrent_users;
     assert!(users >= 1, "load test needs at least one user");
 
-    let mut local = hists.map(SampleBuffers::new);
+    let mut samples = Samples::new(hists);
     let mut in_flight = InFlightSlab::default();
-    let mut ttfts: Vec<f64> = Vec::new();
-    let mut nttfts: Vec<f64> = Vec::new();
-    let mut gaps: Vec<f64> = Vec::new();
-    let mut e2es: Vec<f64> = Vec::new();
     let mut completed: u64 = 0;
     let mut total_tokens: u64 = 0;
 
     // All users fire their first request at t = 0.
     for _ in 0..users {
-        let spec = fit_request(mem, engine.max_batch_weight(), source.next_request());
-        let id = engine.submit(spec)?;
-        in_flight.insert(
-            id,
-            InFlight {
-                submitted_at: engine.clock(),
-                input_tokens: spec.input_tokens,
-                first_token_at: None,
-                last_token_at: None,
-            },
-        );
+        in_flight.submit(engine, mem, source)?;
     }
 
     let warmup = config.warmup_s;
+    let mut step = StepRecord::default();
     while engine.clock() < config.duration_s && engine.has_work() {
-        let step = engine.step();
+        engine.step_into(&mut step);
         faults.check_step(engine.clock(), engine.running_weight(), engine.max_batch_weight())?;
-        for em in &step.emissions {
-            if em.time >= warmup {
-                total_tokens += u64::from(em.count);
+        let now = step.time;
+        if now >= warmup {
+            total_tokens += step.tokens;
+            if step.decoded > 0 {
+                samples.push_gaps(now - step.previous, u64::from(step.decoded));
             }
-            let fl = in_flight.slot(em.id).as_mut().expect("emission for a request in flight");
-            if em.is_first {
-                if fl.submitted_at >= warmup {
-                    let ttft = em.time - fl.submitted_at;
-                    ttfts.push(ttft);
-                    nttfts.push(ttft / fl.input_tokens as f64);
-                    if let Some(b) = &mut local {
-                        b.nttft.record_secs(ttft / fl.input_tokens as f64);
+        }
+        for a in &step.admitted {
+            let fl = in_flight.slot(a.id).as_mut().expect("admission of a request in flight");
+            match a.resumed_after {
+                None => {
+                    if fl.submitted_at >= warmup {
+                        samples.push_ttft(now - fl.submitted_at, fl.input_tokens);
                     }
+                    fl.started = true;
                 }
-                fl.first_token_at = Some(em.time);
-            } else if let Some(prev) = fl.last_token_at {
-                if em.time >= warmup {
-                    gaps.push(em.time - prev);
-                    if let Some(b) = &mut local {
-                        b.record_itl(em.time - prev);
-                    }
-                }
+                Some(last) if now >= warmup => samples.push_gaps(now - last, 1),
+                Some(_) => {}
             }
-            fl.last_token_at = Some(em.time);
         }
         for c in &step.completions {
             let fl = in_flight.slot(c.id).take().expect("completion for a request in flight");
             if fl.submitted_at >= warmup {
-                e2es.push(c.time - fl.submitted_at);
+                samples.e2es.push(c.time - fl.submitted_at);
                 completed += 1;
             }
             // Closed loop: the user immediately submits the next request.
             if engine.clock() < config.duration_s {
-                let spec = fit_request(mem, engine.max_batch_weight(), source.next_request());
-                let id = engine.submit(spec)?;
-                in_flight.insert(
-                    id,
-                    InFlight {
-                        submitted_at: engine.clock(),
-                        input_tokens: spec.input_tokens,
-                        first_token_at: None,
-                        last_token_at: None,
-                    },
-                );
+                in_flight.submit(engine, mem, source)?;
             }
         }
     }
@@ -281,14 +333,10 @@ pub fn run_load_test_observed<S: RequestSource + ?Sized>(
     // as it should be) in deeply saturated regimes where no tracked request
     // is served before the window closes.
     for fl in in_flight.in_flight() {
-        if fl.first_token_at.is_none() && fl.submitted_at >= warmup {
+        if !fl.started && fl.submitted_at >= warmup {
             let waited = engine.clock() - fl.submitted_at;
             if waited > 0.0 {
-                ttfts.push(waited);
-                nttfts.push(waited / fl.input_tokens as f64);
-                if let Some(b) = &mut local {
-                    b.nttft.record_secs(waited / fl.input_tokens as f64);
-                }
+                samples.push_ttft(waited, fl.input_tokens);
             }
         }
     }
@@ -296,11 +344,11 @@ pub fn run_load_test_observed<S: RequestSource + ?Sized>(
     let elapsed = (engine.clock() - warmup).max(f64::EPSILON);
     Ok(LoadMetrics {
         concurrent_users: users,
-        ttft_median_s: median(&mut ttfts),
-        nttft_median_s: median(&mut nttfts),
-        itl_median_s: median(&mut gaps),
+        ttft_median_s: median(&mut samples.ttfts),
+        nttft_median_s: median(&mut samples.nttfts),
+        itl_median_s: median_of_runs(&mut samples.gaps),
         throughput_tokens_per_s: total_tokens as f64 / elapsed,
-        e2e_median_s: median(&mut e2es),
+        e2e_median_s: median(&mut samples.e2es),
         completed_requests: completed,
         total_tokens,
     })
@@ -598,5 +646,302 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, SimError::OutOfMemory { .. }));
+    }
+}
+
+/// The per-emission load tester this module replaced: it reads every
+/// request's token emissions from [`Engine::step`] and keeps one
+/// inter-token gap per emission. The oracle of the bit-identity tests.
+#[cfg(test)]
+mod reference {
+    use llmpilot_obs::hist::LocalHistogram;
+
+    use super::*;
+
+    struct SampleBuffers<'a> {
+        sink: &'a SampleHists,
+        nttft: LocalHistogram,
+        itl: LocalHistogram,
+        itl_run: (f64, u64),
+    }
+
+    impl<'a> SampleBuffers<'a> {
+        fn new(sink: &'a SampleHists) -> Self {
+            SampleBuffers {
+                sink,
+                nttft: sink.nttft.local(),
+                itl: sink.itl.local(),
+                itl_run: (0.0, 0),
+            }
+        }
+
+        fn record_itl(&mut self, gap: f64) {
+            if gap.to_bits() == self.itl_run.0.to_bits() {
+                self.itl_run.1 += 1;
+            } else {
+                self.itl.record_secs_n(self.itl_run.0, self.itl_run.1);
+                self.itl_run = (gap, 1);
+            }
+        }
+    }
+
+    impl Drop for SampleBuffers<'_> {
+        fn drop(&mut self) {
+            self.itl.record_secs_n(self.itl_run.0, self.itl_run.1);
+            self.sink.nttft.merge_local(&self.nttft);
+            self.sink.itl.merge_local(&self.itl);
+        }
+    }
+
+    struct InFlight {
+        submitted_at: f64,
+        input_tokens: u32,
+        first_token_at: Option<f64>,
+        last_token_at: Option<f64>,
+    }
+
+    pub fn run_load_test_observed<S: RequestSource + ?Sized>(
+        engine: &mut Engine,
+        mem: &MemoryModel,
+        source: &mut S,
+        config: &LoadTestConfig,
+        faults: &mut LoadFaults,
+        hists: Option<&SampleHists>,
+    ) -> Result<LoadMetrics, SimError> {
+        let users = config.concurrent_users;
+        let mut local = hists.map(SampleBuffers::new);
+        let mut in_flight = std::collections::BTreeMap::new();
+        let (mut ttfts, mut nttfts, mut gaps, mut e2es) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let mut completed: u64 = 0;
+        let mut total_tokens: u64 = 0;
+        let submit = |engine: &mut Engine, source: &mut S| -> Result<_, SimError> {
+            let spec = fit_request(mem, engine.max_batch_weight(), source.next_request());
+            let id = engine.submit(spec)?;
+            let fl = InFlight {
+                submitted_at: engine.clock(),
+                input_tokens: spec.input_tokens,
+                first_token_at: None,
+                last_token_at: None,
+            };
+            Ok((id, fl))
+        };
+        for _ in 0..users {
+            let (id, fl) = submit(engine, source)?;
+            in_flight.insert(id, fl);
+        }
+        let warmup = config.warmup_s;
+        while engine.clock() < config.duration_s && engine.has_work() {
+            let step = engine.step();
+            faults.check_step(
+                engine.clock(),
+                engine.running_weight(),
+                engine.max_batch_weight(),
+            )?;
+            for em in &step.emissions {
+                if em.time >= warmup {
+                    total_tokens += u64::from(em.count);
+                }
+                let fl = in_flight.get_mut(&em.id).expect("emission for a request in flight");
+                if em.is_first {
+                    if fl.submitted_at >= warmup {
+                        let ttft = em.time - fl.submitted_at;
+                        ttfts.push(ttft);
+                        nttfts.push(ttft / fl.input_tokens as f64);
+                        if let Some(b) = &mut local {
+                            b.nttft.record_secs(ttft / fl.input_tokens as f64);
+                        }
+                    }
+                    fl.first_token_at = Some(em.time);
+                } else if let Some(prev) = fl.last_token_at {
+                    if em.time >= warmup {
+                        gaps.push(em.time - prev);
+                        if let Some(b) = &mut local {
+                            b.record_itl(em.time - prev);
+                        }
+                    }
+                }
+                fl.last_token_at = Some(em.time);
+            }
+            for c in &step.completions {
+                let fl = in_flight.remove(&c.id).expect("completion for a request in flight");
+                if fl.submitted_at >= warmup {
+                    e2es.push(c.time - fl.submitted_at);
+                    completed += 1;
+                }
+                if engine.clock() < config.duration_s {
+                    let (id, fl) = submit(engine, source)?;
+                    in_flight.insert(id, fl);
+                }
+            }
+        }
+        for fl in in_flight.values() {
+            if fl.first_token_at.is_none() && fl.submitted_at >= warmup {
+                let waited = engine.clock() - fl.submitted_at;
+                if waited > 0.0 {
+                    ttfts.push(waited);
+                    nttfts.push(waited / fl.input_tokens as f64);
+                    if let Some(b) = &mut local {
+                        b.nttft.record_secs(waited / fl.input_tokens as f64);
+                    }
+                }
+            }
+        }
+        let elapsed = (engine.clock() - warmup).max(f64::EPSILON);
+        Ok(LoadMetrics {
+            concurrent_users: users,
+            ttft_median_s: median(&mut ttfts),
+            nttft_median_s: median(&mut nttfts),
+            itl_median_s: median(&mut gaps),
+            throughput_tokens_per_s: total_tokens as f64 / elapsed,
+            e2e_median_s: median(&mut e2es),
+            completed_requests: completed,
+            total_tokens,
+        })
+    }
+}
+
+#[cfg(test)]
+mod bit_identity_tests {
+    use std::sync::Arc;
+
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::engine::{AdmissionPolicy, PhaseHists};
+    use crate::gpu::{a100_80, GpuProfile};
+    use crate::llm::llama2_13b;
+    use crate::memory::MemoryConfig;
+    use crate::perf_model::{PerfModel, PerfModelConfig};
+    use crate::request::FixedSource;
+
+    /// One load test's whole observable outcome: the metrics (or error),
+    /// with every float as bits, and the sample and phase histograms.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        metrics: Result<[u64; 8], SimError>,
+        samples: [Vec<(u64, u64)>; 2],
+        sample_summaries: [llmpilot_obs::hist::HistSummary; 2],
+        phases: [Vec<(u64, u64)>; 2],
+        preemptions: u64,
+        steps_used: u64,
+    }
+
+    type Tester = fn(
+        &mut Engine,
+        &MemoryModel,
+        &mut FixedSource,
+        &LoadTestConfig,
+        &mut LoadFaults,
+        Option<&SampleHists>,
+    ) -> Result<LoadMetrics, SimError>;
+
+    fn outcome(
+        tester: Tester,
+        specs: &[RequestSpec],
+        max_batch_weight: u64,
+        policy: AdmissionPolicy,
+        config: &LoadTestConfig,
+        crash_at: Option<f64>,
+    ) -> Outcome {
+        let profile = GpuProfile::new(a100_80(), 1);
+        let mem = MemoryModel::new(llama2_13b(), profile.clone(), MemoryConfig::default());
+        let perf = PerfModel::new(llama2_13b(), profile, PerfModelConfig::default());
+        let phases = Arc::new(PhaseHists::default());
+        let mut engine = Engine::new(perf, max_batch_weight)
+            .with_policy(policy)
+            .with_phase_hists(Arc::clone(&phases));
+        let mut source = FixedSource::new(specs.to_vec());
+        let mut faults = LoadFaults::none();
+        faults.crash_at = crash_at;
+        let hists = SampleHists::default();
+        let metrics = tester(&mut engine, &mem, &mut source, config, &mut faults, Some(&hists))
+            .map(|m| {
+                [
+                    u64::from(m.concurrent_users),
+                    m.ttft_median_s.to_bits(),
+                    m.nttft_median_s.to_bits(),
+                    m.itl_median_s.to_bits(),
+                    m.throughput_tokens_per_s.to_bits(),
+                    m.e2e_median_s.to_bits(),
+                    m.completed_requests,
+                    m.total_tokens,
+                ]
+            });
+        let preemptions = engine.preemptions();
+        drop(engine);
+        Outcome {
+            metrics,
+            samples: [hists.nttft.nonzero_buckets(), hists.itl.nonzero_buckets()],
+            sample_summaries: [hists.nttft.summary(), hists.itl.summary()],
+            phases: [phases.prefill.nonzero_buckets(), phases.decode.nonzero_buckets()],
+            preemptions,
+            steps_used: faults.steps_used,
+        }
+    }
+
+    fn policy(paged: bool) -> AdmissionPolicy {
+        if paged {
+            AdmissionPolicy::PagedCurrent
+        } else {
+            AdmissionPolicy::ReserveFull
+        }
+    }
+
+    #[test]
+    fn paged_preempting_run_with_warmup_and_crash_matches_the_reference() {
+        let specs = [RequestSpec::new(300, 300), RequestSpec::batched(120, 200, 2)];
+        let config = LoadTestConfig { duration_s: 40.0, warmup_s: 5.0, concurrent_users: 12 };
+        for crash_at in [None, Some(25.0)] {
+            let want = outcome(
+                reference::run_load_test_observed,
+                &specs,
+                2_000,
+                AdmissionPolicy::PagedCurrent,
+                &config,
+                crash_at,
+            );
+            let got = outcome(
+                run_load_test_observed,
+                &specs,
+                2_000,
+                AdmissionPolicy::PagedCurrent,
+                &config,
+                crash_at,
+            );
+            assert!(got.preemptions > 0, "the case must preempt");
+            assert_eq!(got.metrics.is_err(), crash_at.is_some());
+            assert!(got.samples[1].len() > 1, "the case must record inter-token gaps");
+            assert_eq!(got, want);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// The step-record load tester and the per-emission reference agree
+        /// bit for bit on every metric, on the sample and phase histograms
+        /// and on the error of an aborted test.
+        #[test]
+        fn step_records_match_the_per_emission_reference(
+            specs in prop::collection::vec((1u32..600, 1u32..300, 1u32..4), 1..8),
+            max_batch_weight in 1_200u64..20_000,
+            (users, paged) in (1u32..64, 0u8..2),
+            duration_s in 1.0f64..30.0,
+            warmup_frac in prop::sample::select(vec![0.0, 0.0, 0.2, 0.6]),
+            (crash, crash_frac) in (0u8..2, 0.0f64..1.0),
+        ) {
+            let specs: Vec<RequestSpec> =
+                specs.into_iter().map(|(i, o, b)| RequestSpec::batched(i, o, b)).collect();
+            let config = LoadTestConfig {
+                duration_s,
+                warmup_s: warmup_frac * duration_s,
+                concurrent_users: users,
+            };
+            let crash_at = (crash == 1).then_some(crash_frac * duration_s);
+            let run = |tester: Tester| {
+                outcome(tester, &specs, max_batch_weight, policy(paged == 1), &config, crash_at)
+            };
+            prop_assert_eq!(run(run_load_test_observed), run(reference::run_load_test_observed));
+        }
     }
 }

@@ -10,7 +10,7 @@ use llmpilot_obs::hist::Histogram;
 use llmpilot_sim::engine::{AdmissionPolicy, Engine, PhaseHists};
 use llmpilot_sim::gpu::{a100_80, gpu_catalog, GpuProfile};
 use llmpilot_sim::llm::{llama2_13b, llm_catalog};
-use llmpilot_sim::load::median;
+use llmpilot_sim::load::{median, median_of_runs};
 use llmpilot_sim::memory::{MemoryConfig, MemoryModel};
 use llmpilot_sim::perf_model::{PerfModel, PerfModelConfig};
 use llmpilot_sim::request::RequestSpec;
@@ -157,6 +157,32 @@ fn union(a: &Histogram, b: &Histogram) -> Histogram {
     sum
 }
 
+/// `median` on the multiset `runs` stands for, one value per count.
+fn expanded_median(runs: &[(f64, u64)]) -> f64 {
+    let mut values: Vec<f64> = runs
+        .iter()
+        .flat_map(|&(value, count)| std::iter::repeat_n(value, count as usize))
+        .collect();
+    median(&mut values)
+}
+
+#[test]
+fn run_length_median_edge_cases() {
+    assert!(median_of_runs(&mut []).is_nan());
+    assert!(median_of_runs(&mut [(1.0, 0), (2.0, 0)]).is_nan());
+    // A single run, with an odd and an even count.
+    assert_eq!(median_of_runs(&mut [(0.5, 3)]), 0.5);
+    assert_eq!(median_of_runs(&mut [(-0.0, 4)]).to_bits(), (-0.0f64).to_bits());
+    // Odd total: the middle value; even total across a run boundary: the
+    // mean of the two runs either side of it.
+    assert_eq!(median_of_runs(&mut [(3.0, 1), (1.0, 2), (2.0, 2)]), 2.0);
+    assert_eq!(median_of_runs(&mut [(4.0, 2), (1.0, 2)]), 2.5);
+    // Even total inside one run, with equal values in runs apart.
+    let mut runs = [(2.0, 1), (1.0, 1), (2.0, 3), (5.0, 1)];
+    assert_eq!(median_of_runs(&mut runs.clone()), expanded_median(&runs));
+    assert_eq!(median_of_runs(&mut runs), 2.0);
+}
+
 fn small_engine(max_weight: u64, policy: AdmissionPolicy) -> Engine {
     let perf =
         PerfModel::new(llama2_13b(), GpuProfile::new(a100_80(), 1), PerfModelConfig::default());
@@ -171,6 +197,21 @@ proptest! {
         let want = sorted_median(&values);
         let got = median(&mut values.clone());
         prop_assert_eq!(got.to_bits(), want.to_bits(), "values {:?}", values);
+    }
+
+    /// The run-length median picks the same order statistics as `median`
+    /// on the expanded values, bit for bit: ±0.0, subnormals, non-finite
+    /// values, equal values in runs that are not adjacent, empty runs, and
+    /// odd and even totals.
+    #[test]
+    fn run_length_median_matches_the_expanded_median_bit_for_bit(
+        values in awkward_f64s(),
+        counts in prop::collection::vec(0u64..5, 64),
+    ) {
+        let runs: Vec<(f64, u64)> = values.into_iter().zip(counts).collect();
+        let want = expanded_median(&runs);
+        let got = median_of_runs(&mut runs.clone());
+        prop_assert_eq!(got.to_bits(), want.to_bits(), "runs {:?}", runs);
     }
 
     /// An engine cloned mid-run, with both copies stepped to the end and

@@ -310,7 +310,7 @@ fn cmd_characterize(args: &[String]) -> Result<(), Error> {
         journal_path: p.get(&journal),
         max_steps_per_cell: p.get(&max_steps),
         recorder: topts.recorder.clone(),
-        events,
+        events: events.clone(),
         flight,
         ..SweepOptions::default()
     };
@@ -318,6 +318,10 @@ fn cmd_characterize(args: &[String]) -> Result<(), Error> {
     let driver =
         SweepDriver::builder(&llms, &profiles, &sampler).config(config).options(options).build()?;
     let (ds, report) = driver.run()?;
+    let dropped = events.events_dropped();
+    if dropped > 0 {
+        eprintln!("warning: {dropped} telemetry events were not written (--events-out failed)");
+    }
     print!("{report}");
     println!("{} rows over {} measured cells", ds.len(), ds.tuned_weights.len());
     let out = p.get(&out);
