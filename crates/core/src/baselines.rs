@@ -143,10 +143,11 @@ impl Method for LlmPilotMethod {
         let model =
             PerformancePredictor::train(&input.train_rows, &input.request.constraints, &config)?;
         let mut grid = PredictionGrid::default();
+        let users = &input.request.user_grid;
         for p in input.profiles {
-            for &u in &input.request.user_grid {
-                let (l1, l2) = model.predict(input.test_llm, p, u);
-                grid.insert(&p.name(), u, l1, l2);
+            let name = p.name();
+            for (&u, (l1, l2)) in users.iter().zip(model.predict_users(input.test_llm, p, users)) {
+                grid.insert(&name, u, l1, l2);
             }
         }
         recommend_from_grid(&grid, input.profiles, input.request)

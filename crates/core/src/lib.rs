@@ -38,7 +38,9 @@ pub use dataset::{CharacterizationDataset, PerfRow};
 pub use error::CoreError;
 pub use evaluate::{so_score, true_u_max, Evaluation, MethodScore};
 pub use predictor::{PerformancePredictor, PredictorConfig};
-pub use recommend::{recommend, LatencyConstraints, Recommendation, RecommendationRequest};
+pub use recommend::{
+    recommend, LatencyConstraints, Recommendation, RecommendationRequest, PAPER_USER_GRID,
+};
 pub use serving::{online_predictor_config, ServingModel};
 pub use sweep::{
     CellStatus, CellTails, FlightOptions, SweepDriver, SweepDriverBuilder, SweepOptions,

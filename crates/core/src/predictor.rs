@@ -136,15 +136,35 @@ impl PerformancePredictor {
     }
 
     /// Predict `(nTTFT, ITL)` in seconds for an LLM on a profile at a user
-    /// count.
+    /// count: the one-element case of [`Self::predict_users`].
     pub fn predict(&self, llm: &LlmSpec, profile: &GpuProfile, users: u32) -> (f64, f64) {
-        let x = featurize(llm, profile, users, true);
-        let (a, b) = (self.nttft.predict_row(&x), self.itl.predict_row(&x));
-        if self.log_target {
-            (a.exp(), b.exp())
-        } else {
-            (a, b)
-        }
+        self.predict_users(llm, profile, &[users])[0]
+    }
+
+    /// Predict `(nTTFT, ITL)` in seconds for an LLM on a profile at each
+    /// user count of `users`, in order. The pair is featurized once; only
+    /// the last feature, `concurrent_users`, differs between the rows, so
+    /// every prediction has the exact bits of a per-pair featurization.
+    pub fn predict_users(
+        &self,
+        llm: &LlmSpec,
+        profile: &GpuProfile,
+        users: &[u32],
+    ) -> Vec<(f64, f64)> {
+        let mut x = featurize(llm, profile, 0, true);
+        let users_feature = x.len() - 1;
+        users
+            .iter()
+            .map(|&u| {
+                x[users_feature] = f64::from(u);
+                let (a, b) = (self.nttft.predict_row(&x), self.itl.predict_row(&x));
+                if self.log_target {
+                    (a.exp(), b.exp())
+                } else {
+                    (a, b)
+                }
+            })
+            .collect()
     }
 }
 

@@ -32,6 +32,11 @@ impl LatencyConstraints {
     }
 }
 
+/// The paper's per-pod user counts `𝕌 = {1, 2, 4, …, 128}` (Sec. V-C),
+/// the grid the daemon searches and [`crate::ServingModel`] tables once
+/// per LLM.
+pub const PAPER_USER_GRID: [u32; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
+
 /// A recommendation request: the expected load and SLA.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecommendationRequest {
@@ -50,7 +55,7 @@ impl RecommendationRequest {
         Self {
             total_users: 200,
             constraints: LatencyConstraints::paper_defaults(),
-            user_grid: (0..8).map(|i| 1u32 << i).collect(),
+            user_grid: PAPER_USER_GRID.to_vec(),
         }
     }
 }

@@ -5,13 +5,23 @@
 //! unseen LLM (leave-one-LLM-out). An online advisor cannot afford that:
 //! it trains **one** model over the whole characterization dataset and
 //! answers arbitrary `(LLM, load, SLA)` queries against it. A
-//! [`ServingModel`] is immutable after training — all queries borrow it
-//! read-only — so it is `Send + Sync` and can sit behind an `Arc` shared
-//! by any number of worker threads, and be atomically swapped for a newer
-//! generation when the dataset changes.
+//! [`ServingModel`] never changes its answers after training — queries
+//! borrow it read-only — so it is `Send + Sync` and can sit behind an
+//! `Arc` shared by any number of worker threads, and be atomically swapped
+//! for a newer generation when the dataset changes.
+//!
+//! The predicted latencies of an LLM depend only on the trained model, the
+//! LLM, the GPU profile and the per-pod user count, not on the query's
+//! total users or SLA. So the model tables them once: the first query for
+//! a catalog LLM on the paper's grid [`PAPER_USER_GRID`] fills that LLM's
+//! [`LatencyTable`] behind a `OnceLock`, and every later query runs only
+//! the Eq. (1)–(3) search over it. A retrain builds a new model with empty
+//! tables, so a table never outlives the predictor it came from.
+
+use std::sync::OnceLock;
 
 use llmpilot_sim::gpu::GpuProfile;
-use llmpilot_sim::llm::llm_by_name;
+use llmpilot_sim::llm::{llm_catalog, LlmSpec};
 use llmpilot_sim::memory::{MemoryConfig, MemoryModel};
 
 use crate::dataset::CharacterizationDataset;
@@ -19,7 +29,60 @@ use crate::error::CoreError;
 use crate::predictor::{PerformancePredictor, PredictorConfig};
 use crate::recommend::{
     parse_profile, recommend, LatencyConstraints, Recommendation, RecommendationRequest,
+    PAPER_USER_GRID,
 };
+
+/// One LLM's predicted `(nTTFT, ITL)` on its memory-feasible candidate
+/// profiles over a user grid.
+#[derive(Debug, Clone)]
+struct LatencyTable {
+    /// The model's profiles on which the LLM fits in memory, in the model's
+    /// order.
+    profiles: Vec<GpuProfile>,
+    /// The per-pod user counts the latencies are predicted at.
+    users: Vec<u32>,
+    /// The prediction for `profiles[i]` at `users[j]` is at
+    /// `i * users.len() + j`.
+    latencies: Vec<(f64, f64)>,
+}
+
+impl LatencyTable {
+    fn new(
+        predictor: &PerformancePredictor,
+        llm: &LlmSpec,
+        profiles: &[GpuProfile],
+        users: &[u32],
+    ) -> Self {
+        let profiles: Vec<GpuProfile> = profiles
+            .iter()
+            .filter(|p| {
+                MemoryModel::new(llm.clone(), (*p).clone(), MemoryConfig::default())
+                    .feasibility()
+                    .is_feasible()
+            })
+            .cloned()
+            .collect();
+        let latencies =
+            profiles.iter().flat_map(|p| predictor.predict_users(llm, p, users)).collect();
+        Self { profiles, users: users.to_vec(), latencies }
+    }
+
+    /// The Eq. (1)–(3) search over the table; `request.user_grid` must be
+    /// the table's grid.
+    fn recommend(&self, request: &RecommendationRequest) -> Result<Recommendation, CoreError> {
+        debug_assert_eq!(request.user_grid, self.users);
+        if self.profiles.is_empty() {
+            return Err(CoreError::NoFeasibleRecommendation);
+        }
+        let n = self.users.len();
+        recommend(&self.profiles, request, |p, u| {
+            // `recommend` hands back references into `self.profiles`.
+            let i = self.profiles.iter().position(|q| std::ptr::eq(q, p))?;
+            let j = self.users.iter().position(|&v| v == u)?;
+            Some(self.latencies[i * n + j])
+        })
+    }
+}
 
 /// An immutable trained recommendation model, safe to share across threads.
 #[derive(Debug, Clone)]
@@ -28,6 +91,10 @@ pub struct ServingModel {
     profiles: Vec<GpuProfile>,
     llms: Vec<String>,
     rows: usize,
+    /// Every catalog LLM with its table on [`PAPER_USER_GRID`], filled by
+    /// the first query that needs it. At most catalog × profiles × |𝕌|
+    /// predictions of 16 bytes.
+    tables: Vec<(LlmSpec, OnceLock<LatencyTable>)>,
 }
 
 impl ServingModel {
@@ -68,7 +135,13 @@ impl ServingModel {
             .collect::<Result<_, _>>()?;
         let rows: Vec<_> = dataset.rows.iter().collect();
         let predictor = PerformancePredictor::train_traced(&rows, constraints, config, recorder)?;
-        Ok(Self { predictor, profiles, llms: dataset.llms(), rows: dataset.len() })
+        Ok(Self {
+            predictor,
+            profiles,
+            llms: dataset.llms(),
+            rows: dataset.len(),
+            tables: llm_catalog().into_iter().map(|llm| (llm, OnceLock::new())).collect(),
+        })
     }
 
     /// The GPU profiles this model can recommend.
@@ -93,7 +166,9 @@ impl ServingModel {
 
     /// Answer one recommendation query: the cheapest `(GPU profile, #pods)`
     /// deployment of `llm_name` satisfying `request` (Eq. (1)–(3)), with
-    /// memory-infeasible profiles excluded up front.
+    /// memory-infeasible profiles excluded up front. A query on
+    /// [`PAPER_USER_GRID`] reads the LLM's cached latency table; any other
+    /// grid gets the same table built for that query alone.
     ///
     /// Errors: [`CoreError::Parse`] when the LLM is not in the catalog
     /// (client error), [`CoreError::NoFeasibleRecommendation`] when no
@@ -103,22 +178,17 @@ impl ServingModel {
         llm_name: &str,
         request: &RecommendationRequest,
     ) -> Result<Recommendation, CoreError> {
-        let llm = llm_by_name(llm_name)
-            .ok_or_else(|| CoreError::Parse(format!("unknown LLM {llm_name:?}")))?;
-        let candidates: Vec<GpuProfile> = self
-            .profiles
+        let (llm, table) = self
+            .tables
             .iter()
-            .filter(|p| {
-                MemoryModel::new(llm.clone(), (*p).clone(), MemoryConfig::default())
-                    .feasibility()
-                    .is_feasible()
-            })
-            .cloned()
-            .collect();
-        if candidates.is_empty() {
-            return Err(CoreError::NoFeasibleRecommendation);
+            .find(|(llm, _)| llm.name == llm_name)
+            .ok_or_else(|| CoreError::Parse(format!("unknown LLM {llm_name:?}")))?;
+        let build = |users: &[u32]| LatencyTable::new(&self.predictor, llm, &self.profiles, users);
+        if request.user_grid == PAPER_USER_GRID {
+            table.get_or_init(|| build(&PAPER_USER_GRID)).recommend(request)
+        } else {
+            build(&request.user_grid).recommend(request)
         }
-        recommend(&candidates, request, |p, u| Some(self.predictor.predict(&llm, p, u)))
     }
 }
 

@@ -23,6 +23,7 @@ use std::time::{Duration, Instant};
 
 use llmpilot_core::{
     online_predictor_config, CoreError, LatencyConstraints, PredictorConfig, RecommendationRequest,
+    PAPER_USER_GRID,
 };
 use llmpilot_obs::events::EventSink;
 use llmpilot_obs::json::JsonWriter;
@@ -128,11 +129,6 @@ impl ServeConfig {
             events: EventSink::disabled(),
         }
     }
-}
-
-/// The per-pod user counts `𝕌` the query path searches (paper defaults).
-fn default_user_grid() -> Vec<u32> {
-    (0..8).map(|i| 1u32 << i).collect()
 }
 
 type CacheKey = (String, u32, u64, u64, u64, u64);
@@ -542,7 +538,8 @@ fn handle_recommend(ctx: &Ctx, request: &Request) -> Response {
     let req = RecommendationRequest {
         total_users: users,
         constraints: LatencyConstraints { nttft_s: nttft_ms / 1e3, itl_s: itl_ms / 1e3 },
-        user_grid: default_user_grid(),
+        // The grid the serving model tables, so the query reads its cache.
+        user_grid: PAPER_USER_GRID.to_vec(),
     };
     match trained.serving.recommend(model_name, &req) {
         Ok(rec) => {

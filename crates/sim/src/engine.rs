@@ -123,10 +123,14 @@ struct Request {
     id: RequestId,
     spec: RequestSpec,
     submitted_at: f64,
-    /// Output tokens generated so far per sequence. A queued request with
-    /// progress was preempted; its tokens are recomputed on re-admission
-    /// without re-emission.
+    /// Output tokens generated so far per sequence, kept while the request
+    /// is queued. A queued request with progress was preempted; its tokens
+    /// are recomputed on re-admission without re-emission. While running,
+    /// the count is [`Request::generated_by`] and this field is stale.
     generated: u32,
+    /// While running: the engine tick (step with work) at which the
+    /// request would have had zero tokens, so it has `ticks − origin`.
+    origin: u64,
     /// When the request was last preempted, which is also its last
     /// emission (preemption ends a step in which every running request
     /// emitted); read when a request with `generated > 0` is re-admitted.
@@ -134,7 +138,18 @@ struct Request {
 }
 
 impl Request {
-    /// KV-cache tokens currently held by this request.
+    /// Output tokens per sequence a running request has generated by
+    /// engine tick `ticks`.
+    fn generated_by(&self, ticks: u64) -> u32 {
+        (ticks - self.origin) as u32
+    }
+
+    /// The engine tick at which a running request completes.
+    fn finish_tick(&self) -> u64 {
+        self.origin + u64::from(self.spec.output_tokens)
+    }
+
+    /// KV-cache tokens held by this request with `generated` current.
     fn kv_tokens(&self) -> u64 {
         u64::from(self.spec.batch_size)
             * (u64::from(self.spec.input_tokens) + u64::from(self.generated))
@@ -204,6 +219,12 @@ pub struct Engine {
     running_kv_tokens: u64,
     /// Cached Σ sequences (batch sizes) of the running batch.
     running_seqs: u32,
+    /// Steps with work so far; every running request generates one token
+    /// per sequence per tick.
+    ticks: u64,
+    /// A lower bound on the running requests' [`Request::finish_tick`]:
+    /// steps before it complete nothing, so they skip the completion scan.
+    next_finish: u64,
     total_tokens_emitted: u64,
     preemptions: u64,
     /// Structured-trace sink; [`Recorder::disabled`] by default, so the
@@ -229,6 +250,8 @@ impl Engine {
             running_weight: 0,
             running_kv_tokens: 0,
             running_seqs: 0,
+            ticks: 0,
+            next_finish: u64::MAX,
             total_tokens_emitted: 0,
             preemptions: 0,
             recorder: Recorder::disabled(),
@@ -364,6 +387,7 @@ impl Engine {
             spec,
             submitted_at: self.clock,
             generated: 0,
+            origin: 0,
             preempted_at: 0.0,
         });
         Ok(id)
@@ -414,6 +438,7 @@ impl Engine {
                 .map(|(i, _)| i)
                 .expect("running nonempty");
             let mut victim = self.running.swap_remove(newest);
+            victim.generated = victim.generated_by(self.ticks);
             self.running_weight -= victim.spec.weight();
             self.running_kv_tokens -= victim.kv_tokens();
             self.running_seqs -= victim.spec.batch_size;
@@ -507,20 +532,17 @@ impl Engine {
         self.clock = now;
         let tokens_before = self.total_tokens_emitted;
 
+        // Previously running sequences each produce one decode token: one
+        // more tick.
+        self.ticks += 1;
         if let Some(out) = emissions.as_deref_mut() {
             out.reserve_exact(self.running.len());
-        }
-        // Previously running sequences each produce one decode token.
-        for r in &mut self.running[..decoding] {
-            r.generated += 1;
-            if let Some(out) = emissions.as_deref_mut() {
-                out.push(TokenEmission {
-                    id: r.id,
-                    time: now,
-                    count: r.spec.batch_size,
-                    is_first: false,
-                });
-            }
+            out.extend(self.running[..decoding].iter().map(|r| TokenEmission {
+                id: r.id,
+                time: now,
+                count: r.spec.batch_size,
+                is_first: false,
+            }));
         }
         // One more cached token per running sequence.
         self.running_kv_tokens += u64::from(self.running_seqs);
@@ -540,28 +562,38 @@ impl Engine {
                 });
             }
             r.generated += 1;
+            r.origin = self.ticks - u64::from(r.generated);
+            self.next_finish = self.next_finish.min(r.finish_tick());
             self.total_tokens_emitted += u64::from(r.spec.batch_size);
             self.running_kv_tokens += r.kv_tokens();
             self.running_seqs += r.spec.batch_size;
         }
 
-        // Retire completed requests and free their weight.
-        let mut i = 0;
-        while i < self.running.len() {
-            if self.running[i].generated >= self.running[i].spec.output_tokens {
-                let done = self.running.swap_remove(i);
-                self.running_weight -= done.spec.weight();
-                self.running_kv_tokens -= done.kv_tokens();
-                self.running_seqs -= done.spec.batch_size;
-                record.completions.push(Completion {
-                    id: done.id,
-                    time: now,
-                    submitted_at: done.submitted_at,
-                    spec: done.spec,
-                });
-            } else {
-                i += 1;
+        // Retire completed requests and free their weight. Before the
+        // earliest finish tick nothing completes; the scan recomputes it.
+        if self.ticks >= self.next_finish {
+            let mut next_finish = u64::MAX;
+            let mut i = 0;
+            while i < self.running.len() {
+                let finish = self.running[i].finish_tick();
+                if self.ticks >= finish {
+                    let mut done = self.running.swap_remove(i);
+                    done.generated = done.generated_by(self.ticks);
+                    self.running_weight -= done.spec.weight();
+                    self.running_kv_tokens -= done.kv_tokens();
+                    self.running_seqs -= done.spec.batch_size;
+                    record.completions.push(Completion {
+                        id: done.id,
+                        time: now,
+                        submitted_at: done.submitted_at,
+                        spec: done.spec,
+                    });
+                } else {
+                    next_finish = next_finish.min(finish);
+                    i += 1;
+                }
             }
+            self.next_finish = next_finish;
         }
         if self.policy == AdmissionPolicy::PagedCurrent {
             let _span = self.recorder.span("engine.preempt");
@@ -948,7 +980,14 @@ mod paged_tests {
             }
             while e.has_work() {
                 e.step();
-                let kv: u64 = e.running.iter().map(|r| r.kv_tokens()).sum();
+                let kv: u64 = e
+                    .running
+                    .iter()
+                    .map(|r| {
+                        u64::from(r.spec.batch_size)
+                            * (u64::from(r.spec.input_tokens) + u64::from(r.generated_by(e.ticks)))
+                    })
+                    .sum();
                 let seqs: u32 = e.running.iter().map(|r| r.spec.batch_size).sum();
                 assert_eq!((e.current_kv_tokens(), e.running_seqs), (kv, seqs), "{policy:?}");
             }
@@ -1005,5 +1044,263 @@ mod paged_tests {
         let mut e = engine(10_000, AdmissionPolicy::ReserveFull);
         e.submit(RequestSpec::new(10, 10)).unwrap();
         let _ = e.with_policy(AdmissionPolicy::PagedCurrent);
+    }
+}
+
+/// The step as it was before running requests counted their tokens by
+/// engine tick: every step increments each running request's count and
+/// scans the whole batch for completions. The oracle of
+/// [`bit_identity_tests`].
+#[cfg(test)]
+mod reference {
+    use std::collections::VecDeque;
+
+    use super::{AdmissionPolicy, Completion, RequestId, StepResult, TokenEmission};
+    use crate::perf_model::PerfModel;
+    use crate::request::RequestSpec;
+
+    #[derive(Debug, Clone)]
+    struct Request {
+        id: RequestId,
+        spec: RequestSpec,
+        submitted_at: f64,
+        generated: u32,
+    }
+
+    impl Request {
+        fn kv_tokens(&self) -> u64 {
+            u64::from(self.spec.batch_size)
+                * (u64::from(self.spec.input_tokens) + u64::from(self.generated))
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    pub struct Engine {
+        perf: PerfModel,
+        max_batch_weight: u64,
+        policy: AdmissionPolicy,
+        pub clock: f64,
+        next_id: u64,
+        queue: VecDeque<Request>,
+        running: Vec<Request>,
+        running_weight: u64,
+        pub preemptions: u64,
+    }
+
+    impl Engine {
+        pub fn new(perf: PerfModel, max_batch_weight: u64, policy: AdmissionPolicy) -> Self {
+            Self {
+                perf,
+                max_batch_weight,
+                policy,
+                clock: 0.0,
+                next_id: 0,
+                queue: VecDeque::new(),
+                running: Vec::new(),
+                running_weight: 0,
+                preemptions: 0,
+            }
+        }
+
+        pub fn has_work(&self) -> bool {
+            !self.queue.is_empty() || !self.running.is_empty()
+        }
+
+        pub fn advance_to(&mut self, t: f64) {
+            if t > self.clock {
+                self.clock = t;
+            }
+        }
+
+        /// Submit a spec the engine under test accepted.
+        pub fn submit(&mut self, spec: RequestSpec) -> RequestId {
+            let id = RequestId(self.next_id);
+            self.next_id += 1;
+            self.queue.push_back(Request { id, spec, submitted_at: self.clock, generated: 0 });
+            id
+        }
+
+        fn kv_tokens(&self) -> u64 {
+            self.running.iter().map(Request::kv_tokens).sum()
+        }
+
+        pub fn step(&mut self) -> StepResult {
+            let mut result = StepResult::default();
+            if !self.has_work() {
+                return result;
+            }
+            let decoding = self.running.len();
+            let mut paged_tokens = self.kv_tokens();
+            while let Some(front) = self.queue.front() {
+                let immediate = u64::from(front.spec.batch_size)
+                    * (u64::from(front.spec.input_tokens) + u64::from(front.generated) + 1);
+                let fits = match self.policy {
+                    AdmissionPolicy::ReserveFull => {
+                        self.running_weight + front.spec.weight() <= self.max_batch_weight
+                    }
+                    AdmissionPolicy::PagedCurrent => {
+                        paged_tokens + immediate <= self.max_batch_weight
+                    }
+                };
+                if !fits {
+                    break;
+                }
+                let q = self.queue.pop_front().expect("front exists");
+                self.running_weight += q.spec.weight();
+                paged_tokens += immediate;
+                self.running.push(q);
+            }
+            let old_seqs: u32 = self.running[..decoding].iter().map(|r| r.spec.batch_size).sum();
+            let mut step_time = if old_seqs > 0 {
+                self.perf.decode_step_time(old_seqs, self.kv_tokens())
+            } else {
+                0.0
+            };
+            for r in &self.running[decoding..] {
+                step_time += self.perf.prefill_time(r.spec.input_tokens + r.generated)
+                    * r.spec.batch_size as f64;
+            }
+            self.clock += step_time;
+            let now = self.clock;
+            for (i, r) in self.running.iter_mut().enumerate() {
+                result.emissions.push(TokenEmission {
+                    id: r.id,
+                    time: now,
+                    count: r.spec.batch_size,
+                    is_first: i >= decoding && r.generated == 0,
+                });
+                r.generated += 1;
+            }
+            let mut i = 0;
+            while i < self.running.len() {
+                if self.running[i].generated >= self.running[i].spec.output_tokens {
+                    let done = self.running.swap_remove(i);
+                    self.running_weight -= done.spec.weight();
+                    result.completions.push(Completion {
+                        id: done.id,
+                        time: now,
+                        submitted_at: done.submitted_at,
+                        spec: done.spec,
+                    });
+                } else {
+                    i += 1;
+                }
+            }
+            if self.policy == AdmissionPolicy::PagedCurrent {
+                while self.kv_tokens() > self.max_batch_weight && self.running.len() > 1 {
+                    let newest = (0..self.running.len())
+                        .max_by_key(|&i| self.running[i].id)
+                        .expect("running nonempty");
+                    let victim = self.running.swap_remove(newest);
+                    self.running_weight -= victim.spec.weight();
+                    self.preemptions += 1;
+                    self.queue.push_front(victim);
+                }
+            }
+            result
+        }
+    }
+}
+
+#[cfg(test)]
+mod bit_identity_tests {
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::gpu::{a100_80, GpuProfile};
+    use crate::llm::llama2_13b;
+    use crate::perf_model::{PerfModel, PerfModelConfig};
+
+    /// One test action: submit `(input, output, batch)` requests, let
+    /// virtual time pass, or run some steps.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Submit(Vec<(u32, u32, u32)>),
+        Idle(f64),
+        Steps(u32),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        (
+            0u32..3,
+            prop::collection::vec((1u32..400, 1u32..120, 1u32..4), 1..6),
+            0.0f64..2.0,
+            1u32..40,
+        )
+            .prop_map(|(kind, specs, idle, steps)| match kind {
+                0 => Op::Submit(specs),
+                1 => Op::Idle(idle),
+                _ => Op::Steps(steps),
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// `step()` and `step_into()` agree with the whole-batch reference
+        /// step on every emission, completion, clock bit and preemption,
+        /// under both admission policies, with requests arriving between
+        /// steps and the batch draining at the end.
+        #[test]
+        fn tick_counted_steps_match_the_whole_batch_reference(
+            max_weight in 600u64..4_000,
+            paged in 0u32..2,
+            ops in prop::collection::vec(op(), 1..30),
+        ) {
+            let policy =
+                if paged == 1 { AdmissionPolicy::PagedCurrent } else { AdmissionPolicy::ReserveFull };
+            let perf = PerfModel::new(
+                llama2_13b(),
+                GpuProfile::new(a100_80(), 1),
+                PerfModelConfig::default(),
+            );
+            let mut oracle = reference::Engine::new(perf.clone(), max_weight, policy);
+            let mut by_emission = Engine::new(perf, max_weight).with_policy(policy);
+            let mut by_record = by_emission.clone();
+            let mut record = StepRecord::default();
+            let drain = Op::Steps(u32::MAX);
+            for op in ops.iter().chain(std::iter::once(&drain)) {
+                match op {
+                    Op::Submit(specs) => {
+                        for &(i, o, b) in specs {
+                            let spec = RequestSpec::batched(i, o, b);
+                            let id = by_emission.submit(spec);
+                            prop_assert_eq!(&by_record.submit(spec), &id);
+                            if let Ok(id) = id {
+                                prop_assert_eq!(oracle.submit(spec), id);
+                            }
+                        }
+                    }
+                    Op::Idle(dt) => {
+                        let t = oracle.clock + dt;
+                        oracle.advance_to(t);
+                        by_emission.advance_to(t);
+                        by_record.advance_to(t);
+                    }
+                    Op::Steps(n) => {
+                        for _ in 0..*n {
+                            if !oracle.has_work() {
+                                break;
+                            }
+                            let want = oracle.step();
+                            let got = by_emission.step();
+                            by_record.step_into(&mut record);
+                            prop_assert_eq!(&got.emissions, &want.emissions);
+                            prop_assert_eq!(&got.completions, &want.completions);
+                            prop_assert_eq!(&record.completions, &want.completions);
+                            let tokens: u64 =
+                                want.emissions.iter().map(|em| u64::from(em.count)).sum();
+                            prop_assert_eq!(record.tokens, tokens);
+                            prop_assert_eq!(record.time.to_bits(), oracle.clock.to_bits());
+                            prop_assert_eq!(by_emission.clock().to_bits(), oracle.clock.to_bits());
+                            prop_assert_eq!(by_record.clock().to_bits(), oracle.clock.to_bits());
+                            prop_assert_eq!(by_emission.preemptions(), oracle.preemptions);
+                            prop_assert_eq!(by_record.preemptions(), oracle.preemptions);
+                        }
+                    }
+                }
+            }
+            prop_assert!(!by_emission.has_work() && !by_record.has_work());
+            prop_assert_eq!((by_record.current_kv_tokens(), by_record.running_weight()), (0, 0));
+        }
     }
 }

@@ -7,7 +7,7 @@
 //! ```
 
 use llm_pilot::core::evaluate::oracle_recommendation;
-use llm_pilot::core::recommend::{LatencyConstraints, RecommendationRequest};
+use llm_pilot::core::recommend::{LatencyConstraints, RecommendationRequest, PAPER_USER_GRID};
 use llm_pilot::core::SweepDriver;
 use llm_pilot::sim::gpu::paper_profiles;
 use llm_pilot::sim::llm::{llm_by_name, llm_catalog};
@@ -47,7 +47,7 @@ fn main() -> Result<(), llm_pilot::Error> {
             let request = RecommendationRequest {
                 total_users: users,
                 constraints: LatencyConstraints { nttft_s: nttft_ms / 1e3, itl_s: itl_ms / 1e3 },
-                user_grid: (0..8).map(|i| 1u32 << i).collect(),
+                user_grid: PAPER_USER_GRID.to_vec(),
             };
             match oracle_recommendation(&dataset, llm.name, &paper_profiles(), &request) {
                 Ok(rec) => println!(

@@ -13,7 +13,7 @@
 
 use llm_pilot::core::baselines::{LlmPilotMethod, Method, MethodInput};
 use llm_pilot::core::evaluate::{oracle_recommendation, true_u_max};
-use llm_pilot::core::recommend::{LatencyConstraints, RecommendationRequest};
+use llm_pilot::core::recommend::{LatencyConstraints, RecommendationRequest, PAPER_USER_GRID};
 use llm_pilot::core::SweepDriver;
 use llm_pilot::sim::gpu::paper_profiles;
 use llm_pilot::sim::llm::{llm_by_name, llm_catalog};
@@ -39,7 +39,7 @@ fn main() -> Result<(), llm_pilot::Error> {
     let request = RecommendationRequest {
         total_users: users,
         constraints: LatencyConstraints { nttft_s: nttft_ms / 1e3, itl_s: itl_ms / 1e3 },
-        user_grid: (0..8).map(|i| 1u32 << i).collect(),
+        user_grid: PAPER_USER_GRID.to_vec(),
     };
     println!(
         "request: {} concurrent users, nTTFT <= {nttft_ms} ms/token, ITL <= {itl_ms} ms",

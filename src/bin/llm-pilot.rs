@@ -27,7 +27,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use llm_pilot::cli::{Command, Flag, Parsed};
-use llm_pilot::core::recommend::{recommend, LatencyConstraints, RecommendationRequest};
+use llm_pilot::core::recommend::{
+    recommend, LatencyConstraints, RecommendationRequest, PAPER_USER_GRID,
+};
 use llm_pilot::core::sweep::write_atomic;
 use llm_pilot::core::{
     CharacterizationDataset, CharacterizeConfig, FlightOptions, PerformancePredictor,
@@ -360,7 +362,7 @@ fn cmd_recommend(args: &[String]) -> Result<(), Error> {
             nttft_s: p.get(&nttft_ms) / 1e3,
             itl_s: p.get(&itl_ms) / 1e3,
         },
-        user_grid: (0..8).map(|i| 1u32 << i).collect(),
+        user_grid: PAPER_USER_GRID.to_vec(),
     };
     let candidates: Vec<_> = paper_profiles()
         .into_iter()
