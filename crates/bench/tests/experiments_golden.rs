@@ -4,8 +4,9 @@
 //! Between them these runs cover what the full-grid golden does not: load
 //! tests with a warm-up (`fig1`), paged admission with preemption
 //! (`ablate_paged`), multi-pod deployments (`table1`, including the
-//! Table I diagonal spread) and the Sec. V-A sampling ablation
-//! (`corr_ablation`).
+//! Table I diagonal spread), the Sec. V-A sampling ablation
+//! (`corr_ablation`) and 80 GBDT fits over the sweep dataset under four
+//! weight/monotone settings (`ablate_regressor`).
 
 use std::path::Path;
 use std::process::Command;
@@ -44,4 +45,9 @@ fn ablate_paged_matches_the_golden() {
 #[test]
 fn corr_ablation_matches_the_golden() {
     assert_matches_golden("corr_ablation");
+}
+
+#[test]
+fn ablate_regressor_matches_the_golden() {
+    assert_matches_golden("ablate_regressor");
 }

@@ -156,11 +156,6 @@ impl CellOutcome {
             _ => None,
         }
     }
-
-    /// Whether the cell errored (retryable).
-    pub fn is_failed(&self) -> bool {
-        matches!(self, CellOutcome::Failed { .. })
-    }
 }
 
 /// Optional per-cell tail-latency observation: sample histograms for the

@@ -17,7 +17,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::dataset::Dataset;
 use crate::error::MlError;
-use crate::histogram::FeatureBins;
+use crate::histogram::{FeatureBins, SlotClasses};
 
 /// Hyperparameters of the GBDT (the set the paper tunes in Sec. IV-B-3:
 /// number of boosted trees, maximum depth, learning rate, subsampling
@@ -136,16 +136,19 @@ pub struct Gbdt {
 ///
 /// A node's rows are a contiguous range of one row buffer; a split
 /// partitions the range in place, stably, so each child sees its rows in
-/// the parent's order. Split search fills every candidate feature's
-/// histogram in a single pass over the node's rows into one flat buffer
-/// of [`FeatureBins::total_bins`] slots, reused by every node of the fit.
-/// Each slot still receives the same rows in the same order as a
-/// per-feature fill would give it, so every sum — and so every split,
-/// leaf value and prediction — is bit-identical to it.
+/// the parent's order. Split search fills one accumulator per slot class
+/// ([`SlotClasses`]) in a single pass over the node's rows, adding each
+/// row once per distinct class of its cells, and reads bin `b` of feature
+/// `f` from its slot's class. Slots of one class hold the same dataset
+/// rows, so they hold the same node rows too; the class accumulator
+/// receives exactly those rows in node order, which is what a per-feature
+/// histogram bin receives. Every sum — and so every split, leaf value and
+/// prediction — is bit-identical to a per-feature fill.
 struct TreeBuilder<'a> {
     bins: &'a FeatureBins,
-    /// Row-major global bin slots ([`FeatureBins::bin_matrix`]).
-    binned: &'a [u32],
+    /// Row-major bins ([`FeatureBins::bin_matrix`]).
+    binned: &'a [u16],
+    classes: &'a SlotClasses,
     n_cols: usize,
     grad: &'a [f64],
     hess: &'a [f64],
@@ -154,8 +157,8 @@ struct TreeBuilder<'a> {
     nodes: Vec<Node>,
     /// Per-feature accumulated split gain (XGBoost's `gain` importance).
     gain: &'a mut [f64],
-    /// The flat all-feature histogram, refilled for every split search.
-    hist: &'a mut [GradPair],
+    /// One accumulator per slot class, refilled for every split search.
+    acc: &'a mut [GradPair],
     /// Holds a partition's right-hand rows until they are copied back.
     spill: &'a mut Vec<u32>,
     /// Boosted predictions: each leaf adds its shrunk value to its rows.
@@ -230,12 +233,11 @@ impl TreeBuilder<'_> {
     /// Stable in-place partition of `rows` into `bin(feature) <= bin`
     /// first, the rest after; returns the size of the left part.
     fn partition(&mut self, rows: &mut [u32], feature: usize, bin: u16) -> usize {
-        let limit = (self.bins.slots(feature).start + usize::from(bin)) as u32;
         self.spill.clear();
         let mut n_left = 0;
         for i in 0..rows.len() {
             let r = rows[i];
-            if self.binned[r as usize * self.n_cols + feature] <= limit {
+            if self.binned[r as usize * self.n_cols + feature] <= bin {
                 rows[n_left] = r;
                 n_left += 1;
             } else {
@@ -254,17 +256,15 @@ impl TreeBuilder<'_> {
         total: &GradPair,
         bound: (f64, f64),
     ) -> Option<(usize, u16, f64, f64, f64)> {
-        // One pass over the rows fills every candidate feature's bins:
-        // consecutive adds go to different features' slots, so they do not
-        // wait on each other even when consecutive rows share a bin.
-        for &f in self.features {
-            self.hist[self.bins.slots(f)].fill(GradPair::default());
-        }
+        // One pass over the rows fills every class: consecutive adds go to
+        // different classes, so they do not wait on each other even when
+        // consecutive rows share a bin. Classes of features left out by
+        // column sampling are filled too and never read.
+        self.acc.fill(GradPair::default());
         for &r in rows {
             let (g, h) = (self.grad[r as usize], self.hess[r as usize]);
-            let cells = &self.binned[r as usize * self.n_cols..][..self.n_cols];
-            for &f in self.features {
-                self.hist[cells[f] as usize].add(g, h);
+            for &c in self.classes.row(r as usize) {
+                self.acc[c as usize].add(g, h);
             }
         }
 
@@ -274,12 +274,13 @@ impl TreeBuilder<'_> {
         let mut best = None;
 
         for &f in self.features {
-            let hist = &self.hist[self.bins.slots(f)];
-            let nbins = hist.len();
+            let classes = self.classes.classes_of(self.bins.slots(f));
+            let nbins = classes.len();
             let constraint = self.params.monotone_constraints.get(f).copied().unwrap_or(0);
 
             let mut left = GradPair::default();
-            for (b, pair) in hist.iter().take(nbins - 1).enumerate() {
+            for (b, &c) in classes.iter().take(nbins - 1).enumerate() {
+                let pair = self.acc[c as usize];
                 left.add(pair.g, pair.h);
                 let right = GradPair { g: total.g - left.g, h: total.h - left.h };
                 if left.h < self.params.min_child_weight || right.h < self.params.min_child_weight {
@@ -358,11 +359,12 @@ impl Gbdt {
             return Err(MlError::InvalidConfig("min_child_weight must be finite and >= 0".into()));
         }
 
-        let (bins, binned) = {
+        let (bins, binned, classes) = {
             let _hist_span = recorder.span("gbdt.histogram").arg("max_bins", params.max_bins);
             let bins = FeatureBins::fit(ds, params.max_bins);
             let binned = bins.bin_matrix(ds);
-            (bins, binned)
+            let classes = SlotClasses::new(&bins, &binned);
+            (bins, binned, classes)
         };
         let n = ds.n_rows();
         let weights = ds.weights_vec();
@@ -381,7 +383,7 @@ impl Gbdt {
         let mut grad = vec![0.0; n];
         let mut hess = vec![0.0; n];
         let mut gain = vec![0.0f64; ds.n_cols()];
-        let mut hist = vec![GradPair::default(); bins.total_bins()];
+        let mut acc = vec![GradPair::default(); classes.n_classes()];
         let mut spill = Vec::with_capacity(n);
         // This round's tree rows, and the rows it leaves out (not
         // subsampled, or held out for validation).
@@ -444,6 +446,7 @@ impl Gbdt {
             let mut builder = TreeBuilder {
                 bins: &bins,
                 binned: &binned,
+                classes: &classes,
                 n_cols: ds.n_cols(),
                 grad: &grad,
                 hess: &hess,
@@ -451,7 +454,7 @@ impl Gbdt {
                 features: &features,
                 nodes: Vec::new(),
                 gain: &mut gain,
-                hist: &mut hist,
+                acc: &mut acc,
                 spill: &mut spill,
                 pred: &mut pred,
                 recorder,
@@ -1068,23 +1071,83 @@ mod bit_identity_tests {
         }
     }
 
-    /// `(dataset, params)` with constant columns, heavy ties, zero
-    /// weights, monotone ±1 and every sampling/regularization knob.
-    fn case() -> impl Strategy<Value = (Dataset, GbdtParams)> {
+    /// A column computed from one of the drawn columns. Each gives bins
+    /// whose row sets equal, or are unions of, the source's bins, so
+    /// several features share slot classes.
+    #[derive(Debug, Clone, Copy)]
+    enum Derived {
+        /// The same values under the same constraint.
+        Copy,
+        /// `floor(2v)`: fewer distinct values, as neighbouring levels of a
+        /// tied column merge.
+        Coarse,
+        /// The values negated under the flipped constraint: the same bins
+        /// in reverse order.
+        Negated,
+        /// The same values under a different constraint.
+        Reconstrained,
+    }
+
+    /// Drawn columns (kind, constraint), derived columns, cells, probes and
+    /// knobs; see [`case`].
+    type Draws = (
+        Vec<(Column, i8)>,
+        Vec<(Derived, usize, usize)>,
+        Vec<(Vec<u32>, usize, u32)>,
+        Vec<Vec<(usize, usize, bool)>>,
+        (i8, Vec<f64>),
+        ((usize, usize, f64), (f64, f64), (f64, f64), (usize, f64, usize), (u64, bool)),
+    );
+
+    /// A generated case: the training set, its parameters and probe rows
+    /// that are not in the training set.
+    #[derive(Debug)]
+    struct Case {
+        ds: Dataset,
+        params: GbdtParams,
+        probes: Vec<Vec<f64>>,
+    }
+
+    /// Training sets shaped like the characterization dataset. Rows come
+    /// in *cells*: every row of a cell repeats one vector of drawn and
+    /// derived columns and differs from the others only in a last,
+    /// constrained "users" column. Many bins of different features then
+    /// hold exactly the same rows, as the per-LLM columns and the
+    /// per-profile columns of the real dataset do. Cases also cover
+    /// constant columns, heavy ties, adjacent floats, zero weights,
+    /// monotone ±1 and every sampling/regularization knob.
+    ///
+    /// Each probe row takes every column from an independently chosen
+    /// training row, or the midpoint of two rows' values, so two twin
+    /// features that route the training rows alike disagree on it: a split
+    /// that moved to an equal-gain twin changes a probe prediction.
+    fn case() -> impl Strategy<Value = Case> {
         let kinds = prop::sample::select(vec![
             Column::Constant,
             Column::Ties,
             Column::Adjacent,
             Column::Spread,
         ]);
-        let columns = prop::collection::vec((kinds, prop::sample::select(vec![-1i8, 0, 1])), 1..5);
-        let rows = prop::collection::vec(
-            (
-                prop::collection::vec(0u32..1_000_000, 4),
-                0u32..8,
-                prop::sample::select(vec![0.0, 0.0, 0.5, 1.0, 1.0, 3.0]),
-            ),
-            2..70,
+        let constraint = prop::sample::select(vec![-1i8, 0, 1]);
+        let columns = prop::collection::vec((kinds, constraint), 1..5);
+        let derived_kind = prop::sample::select(vec![
+            Derived::Copy,
+            Derived::Coarse,
+            Derived::Negated,
+            Derived::Reconstrained,
+        ]);
+        let derived = prop::collection::vec((derived_kind, 0usize..4, 1usize..3), 0..5);
+        let cells = prop::collection::vec(
+            (prop::collection::vec(0u32..1_000_000, 4), 1usize..6, 0u32..8),
+            2..24,
+        );
+        let probes = prop::collection::vec(
+            prop::collection::vec((0usize..1000, 0usize..1000, any_bool()), 10),
+            6,
+        );
+        let users = (
+            prop::sample::select(vec![1i8, -1]),
+            prop::collection::vec(prop::sample::select(vec![0.0, 0.0, 0.5, 1.0, 1.0, 3.0]), 6),
         );
         let knobs = (
             (1usize..12, 1usize..6, prop::sample::select(vec![0.05, 0.3, 1.0])),
@@ -1095,52 +1158,97 @@ mod bit_identity_tests {
                 prop::sample::select(vec![0.0, 0.0, 0.2]),
                 1usize..4,
             ),
-            (0u64..1000, prop::sample::select(vec![false, true])),
+            (0u64..1000, any_bool()),
         );
-        (columns, rows, knobs).prop_map(|(columns, rows, knobs)| {
-            let features: Vec<Vec<f64>> = rows
-                .iter()
-                .map(|(draws, _, _)| {
-                    columns
-                        .iter()
-                        .zip(draws)
-                        .map(|(&(kind, _), &d)| column_value(kind, d))
-                        .collect()
-                })
-                .collect();
-            let targets: Vec<f64> = rows
-                .iter()
-                .map(|(draws, t, _)| f64::from(*t) + f64::from(draws[0] % 3) * 0.1)
-                .collect();
-            let weights: Vec<f64> = rows.iter().map(|&(_, _, w)| w).collect();
-            let ds = Dataset::from_rows(&features, targets).unwrap().with_weights(weights).unwrap();
-            let (
-                (n_trees, max_depth, learning_rate),
-                (subsample, colsample),
-                (min_child_weight, lambda),
-                (max_bins, validation_fraction, early_stopping_rounds),
-                (seed, constrained),
-            ) = knobs;
-            let params = GbdtParams {
-                n_trees,
-                max_depth,
-                learning_rate,
-                subsample,
-                colsample,
-                min_child_weight,
-                lambda,
-                max_bins,
-                monotone_constraints: if constrained {
-                    columns.iter().map(|&(_, c)| c).collect()
-                } else {
-                    Vec::new()
-                },
-                validation_fraction,
-                early_stopping_rounds,
-                seed,
-            };
-            (ds, params)
-        })
+        (columns, derived, cells, probes, users, knobs).prop_map(build_case)
+    }
+
+    fn any_bool() -> impl Strategy<Value = bool> {
+        prop::sample::select(vec![false, true])
+    }
+
+    fn build_case((columns, derived, cells, probes, users, knobs): Draws) -> Case {
+        let (users_constraint, user_weights) = users;
+        let derived_value = |kind: Derived, v: f64| match kind {
+            Derived::Copy | Derived::Reconstrained => v,
+            Derived::Coarse => (v * 2.0).floor(),
+            Derived::Negated => -v,
+        };
+        let mut features: Vec<Vec<f64>> = Vec::new();
+        let mut targets = Vec::new();
+        let mut weights = Vec::new();
+        for (draws, n_users, t) in &cells {
+            let mut row: Vec<f64> =
+                columns.iter().zip(draws).map(|(&(kind, _), &d)| column_value(kind, d)).collect();
+            for &(kind, source, _) in &derived {
+                row.push(derived_value(kind, row[source % columns.len()]));
+            }
+            for u in 0..*n_users {
+                let mut cell_row = row.clone();
+                cell_row.push(f64::from(1u32 << u));
+                features.push(cell_row);
+                targets.push(f64::from(*t) + f64::from(draws[0] % 3) * 0.1 + u as f64 * 0.7);
+                weights.push(user_weights[(draws[1] as usize + u) % user_weights.len()]);
+            }
+        }
+        let n_cols = features[0].len();
+        let probes = probes
+            .iter()
+            .map(|picks| {
+                (0..n_cols)
+                    .map(|c| {
+                        let (a, b, mid) = picks[c];
+                        let (a, b) =
+                            (features[a % features.len()][c], features[b % features.len()][c]);
+                        if mid {
+                            0.5 * (a + b)
+                        } else {
+                            a
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let ds = Dataset::from_rows(&features, targets).unwrap().with_weights(weights).unwrap();
+
+        let (
+            (n_trees, max_depth, learning_rate),
+            (subsample, colsample),
+            (min_child_weight, lambda),
+            (max_bins, validation_fraction, early_stopping_rounds),
+            (seed, constrained),
+        ) = knobs;
+        let monotone_constraints = if constrained {
+            let mut c: Vec<i8> = columns.iter().map(|&(_, c)| c).collect();
+            for &(kind, source, shift) in &derived {
+                let of_source = c[source % columns.len()];
+                c.push(match kind {
+                    Derived::Copy | Derived::Coarse => of_source,
+                    Derived::Negated => -of_source,
+                    // Another of -1, 0, +1.
+                    Derived::Reconstrained => (of_source + 1 + shift as i8).rem_euclid(3) - 1,
+                });
+            }
+            c.push(users_constraint);
+            c
+        } else {
+            Vec::new()
+        };
+        let params = GbdtParams {
+            n_trees,
+            max_depth,
+            learning_rate,
+            subsample,
+            colsample,
+            min_child_weight,
+            lambda,
+            max_bins,
+            monotone_constraints,
+            validation_fraction,
+            early_stopping_rounds,
+            seed,
+        };
+        Case { ds, params, probes }
     }
 
     fn bits(values: &[f64]) -> Vec<u64> {
@@ -1149,12 +1257,14 @@ mod bit_identity_tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(1024))]
-        /// The one-pass fit gives the reference builder's model bit for
-        /// bit: same trees, same predictions, same importances. `lambda 0`
+        /// The slot-class fit gives the reference builder's model bit for
+        /// bit: same predictions on the training rows and on probe rows
+        /// off them, same importances. `lambda 0`
         /// cases must be rejected instead (the reference builder does not
         /// validate and can score `0/0` there).
         #[test]
-        fn fit_matches_the_reference_builder_bit_for_bit((ds, params) in case()) {
+        fn fit_matches_the_reference_builder_bit_for_bit(case in case()) {
+            let Case { ds, params, probes } = case;
             if params.lambda == 0.0 {
                 prop_assert!(matches!(Gbdt::fit(&ds, &params), Err(MlError::InvalidConfig(_))));
                 return Ok(());
@@ -1163,6 +1273,12 @@ mod bit_identity_tests {
             let oracle = reference::fit(&ds, &params);
             prop_assert_eq!(fitted.num_trees(), oracle.num_trees());
             prop_assert_eq!(bits(&fitted.predict(&ds)), bits(&oracle.predict(&ds)));
+            for probe in &probes {
+                prop_assert_eq!(
+                    fitted.predict_row(probe).to_bits(),
+                    oracle.predict_row(probe).to_bits()
+                );
+            }
             prop_assert_eq!(
                 bits(fitted.feature_importance()),
                 bits(oracle.feature_importance())

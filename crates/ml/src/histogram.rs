@@ -8,8 +8,8 @@ use crate::dataset::Dataset;
 /// samples.
 ///
 /// Every feature's bins also get a *global* slot: feature `f`'s bin `b`
-/// is slot `slots(f).start + b` of one flat histogram of
-/// [`Self::total_bins`] slots, which holds all features' bins side by side.
+/// is slot `slots(f).start + b` of [`Self::total_bins`] slots, which number
+/// all features' bins side by side.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FeatureBins {
     /// Ascending cut points per feature. Bin `b` of feature `f` holds values
@@ -89,17 +89,162 @@ impl FeatureBins {
         self.offsets.last().map_or(0, |&t| t as usize)
     }
 
-    /// Bin every row of a dataset, row-major, as global slots: cell
-    /// `(i, f)` is `slots(f).start + bin(f, value(i, f))`.
-    pub fn bin_matrix(&self, ds: &Dataset) -> Vec<u32> {
+    /// Bin every row of a dataset, row-major: cell `(i, f)` is
+    /// `bin(f, value(i, f))`.
+    pub fn bin_matrix(&self, ds: &Dataset) -> Vec<u16> {
         let mut out = Vec::with_capacity(ds.n_rows() * ds.n_cols());
         for i in 0..ds.n_rows() {
             for f in 0..ds.n_cols() {
-                out.push(self.offsets[f] + u32::from(self.bin(f, ds.value(i, f))));
+                out.push(self.bin(f, ds.value(i, f)));
             }
         }
         out
     }
+
+    /// The global slots of one row of a [`Self::bin_matrix`], in column
+    /// order.
+    fn row_slots<'a>(&'a self, cells: &'a [u16]) -> impl Iterator<Item = usize> + 'a {
+        cells.iter().zip(&self.offsets).map(|(&b, &offset)| offset as usize + usize::from(b))
+    }
+}
+
+/// The global slots of one bin matrix grouped into *classes*: two slots
+/// share a class exactly when they hold the same set of rows. Slots of one
+/// feature hold disjoint rows, so a class joins bins of different features,
+/// such as a one-hot column and a per-LLM spec column that both single out
+/// one LLM's rows. Slots with equal row sets also hold equal rows of any
+/// subset, so a histogram over a node's rows needs one accumulator per
+/// class instead of one per slot.
+pub(crate) struct SlotClasses {
+    /// Class of every global slot. Classes are numbered in order of their
+    /// lowest slot.
+    class_of: Vec<u32>,
+    n_classes: usize,
+    /// Row `i`'s distinct classes are `row_classes[row_start[i]..row_start[i + 1]]`.
+    row_start: Vec<u32>,
+    row_classes: Vec<u32>,
+}
+
+impl SlotClasses {
+    /// Group the slots of `bins` by their rows in `binned`, a
+    /// [`FeatureBins::bin_matrix`] of `bins`. Takes a few passes over
+    /// `binned` and memory in proportion to the slot count besides the
+    /// row lists, so a fit holds no second matrix-sized buffer.
+    pub(crate) fn new(bins: &FeatureBins, binned: &[u16]) -> Self {
+        let rows = || binned.chunks_exact(bins.n_features()).map(|cells| bins.row_slots(cells));
+        // Slots with equal row sets have equal keys: the row count and an
+        // order-free sum of mixed row ids.
+        let mut keys = vec![(0u32, 0u64); bins.total_bins()];
+        for (i, slots) in rows().enumerate() {
+            let mixed = mix(i as u64);
+            for slot in slots {
+                let (count, sum) = &mut keys[slot];
+                *count += 1;
+                *sum = sum.wrapping_add(mixed);
+            }
+        }
+        let class_of = split_inexact(first_seen_ids(keys.iter()), rows());
+        let n_classes = class_of.iter().max().map_or(0, |&c| c as usize + 1);
+
+        // Each row's classes, once each, in column order. A class's rows
+        // list it once each, so the lists hold the classes' row counts.
+        let mut class_rows = vec![0; n_classes];
+        for (&class, &(count, _)) in class_of.iter().zip(&keys) {
+            class_rows[class as usize] = count as usize;
+        }
+        let entries = class_rows.iter().sum();
+        let mut row_start = Vec::with_capacity(binned.len() / bins.n_features() + 1);
+        let mut row_classes = Vec::with_capacity(entries);
+        let mut seen_in_row = vec![u32::MAX; n_classes];
+        row_start.push(0);
+        for (i, slots) in rows().enumerate() {
+            for slot in slots {
+                let class = class_of[slot];
+                if seen_in_row[class as usize] != i as u32 {
+                    seen_in_row[class as usize] = i as u32;
+                    row_classes.push(class);
+                }
+            }
+            row_start.push(row_classes.len() as u32);
+        }
+        Self { class_of, n_classes, row_start, row_classes }
+    }
+
+    /// Number of classes.
+    pub(crate) fn n_classes(&self) -> usize {
+        self.n_classes
+    }
+
+    /// The class of each slot in `slots`.
+    pub(crate) fn classes_of(&self, slots: std::ops::Range<usize>) -> &[u32] {
+        &self.class_of[slots]
+    }
+
+    /// The distinct classes of row `row`'s cells.
+    #[inline]
+    pub(crate) fn row(&self, row: usize) -> &[u32] {
+        &self.row_classes[self.row_start[row] as usize..self.row_start[row + 1] as usize]
+    }
+}
+
+/// Dense ids for `keys`, numbered in order of first appearance.
+fn first_seen_ids<K: std::hash::Hash + Eq>(keys: impl Iterator<Item = K>) -> Vec<u32> {
+    let mut ids = std::collections::HashMap::new();
+    keys.map(|key| {
+        let fresh = ids.len() as u32;
+        *ids.entry(key).or_insert(fresh)
+    })
+    .collect()
+}
+
+/// Check guessed classes against the rows, each given as its slots, and
+/// split the wrong ones. A class is exact when every row holds all of its
+/// slots or none; a row holds one slot per feature, so counting the
+/// class's slots in the row decides this. A class that fails on some row
+/// becomes one class per slot, and ids are renumbered in order of lowest
+/// slot.
+fn split_inexact<'a>(
+    class_of: Vec<u32>,
+    rows: impl Iterator<Item = impl Iterator<Item = usize> + 'a>,
+) -> Vec<u32> {
+    let n_classes = class_of.iter().max().map_or(0, |&c| c as usize + 1);
+    let mut size = vec![0u32; n_classes];
+    for &class in &class_of {
+        size[class as usize] += 1;
+    }
+    let mut exact = vec![true; n_classes];
+    let mut held = vec![0u32; n_classes];
+    let mut touched = Vec::new();
+    for slots in rows {
+        for slot in slots {
+            let class = class_of[slot] as usize;
+            if held[class] == 0 {
+                touched.push(class);
+            }
+            held[class] += 1;
+        }
+        for class in touched.drain(..) {
+            exact[class] &= held[class] == size[class];
+            held[class] = 0;
+        }
+    }
+    if exact.iter().all(|&e| e) {
+        return class_of;
+    }
+    first_seen_ids(
+        class_of
+            .iter()
+            .enumerate()
+            .map(|(slot, &class)| (class, if exact[class as usize] { usize::MAX } else { slot })),
+    )
+}
+
+/// SplitMix64's output function: a bijective scramble of a row id.
+fn mix(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -148,15 +293,56 @@ mod tests {
         let m = bins.bin_matrix(&d);
         assert_eq!(m.len(), d.n_rows() * d.n_cols());
         assert_eq!(bins.total_bins(), bins.num_bins(0) + bins.num_bins(1));
-        // Each cell is its feature's offset plus the value's own bin, so
-        // every feature stays inside its slot range.
-        for i in 0..d.n_rows() {
-            for f in 0..d.n_cols() {
-                let slot = m[i * d.n_cols() + f] as usize;
+        // Each row's slots are its features' offsets plus the values' own
+        // bins, so every feature stays inside its slot range.
+        for (i, cells) in m.chunks_exact(d.n_cols()).enumerate() {
+            for (f, slot) in bins.row_slots(cells).enumerate() {
                 assert!(bins.slots(f).contains(&slot));
                 assert_eq!(slot - bins.slots(f).start, usize::from(bins.bin(f, d.value(i, f))));
             }
         }
+    }
+
+    #[test]
+    fn slots_with_equal_row_sets_share_a_class() {
+        // Two LLMs × two user counts. The one-hot column and the spec
+        // column single out the same rows in opposite bin order; users and
+        // the constant column hold row sets of their own.
+        let rows = vec![
+            vec![1.0, 7.0, 1.0, 5.0],
+            vec![1.0, 7.0, 2.0, 5.0],
+            vec![0.0, 13.0, 1.0, 5.0],
+            vec![0.0, 13.0, 2.0, 5.0],
+        ];
+        let d = Dataset::from_rows(&rows, vec![0.0; 4]).unwrap();
+        let bins = FeatureBins::fit(&d, 8);
+        let classes = SlotClasses::new(&bins, &bins.bin_matrix(&d));
+        // Slots: one-hot {2,3} {0,1} | spec {0,1} {2,3} | users {0,2} {1,3} | constant {0,1,2,3}.
+        assert_eq!(bins.total_bins(), 7);
+        assert_eq!(classes.n_classes(), 5);
+        assert_eq!(classes.classes_of(bins.slots(0)), [0, 1]);
+        assert_eq!(classes.classes_of(bins.slots(1)), [1, 0]);
+        assert_eq!(classes.classes_of(bins.slots(2)), [2, 3]);
+        assert_eq!(classes.classes_of(bins.slots(3)), [4]);
+        // Each row lists a shared class once, in column order.
+        assert_eq!(classes.row(0), [1, 2, 4]);
+        assert_eq!(classes.row(1), [1, 3, 4]);
+        assert_eq!(classes.row(2), [0, 2, 4]);
+        assert_eq!(classes.row(3), [0, 3, 4]);
+    }
+
+    #[test]
+    fn guessed_classes_that_rows_split_fall_apart() {
+        // Three features of two bins over four rows: slots 0..2, 2..4, 4..6.
+        let rows: [[usize; 3]; 4] = [[0, 2, 4], [0, 2, 5], [1, 3, 5], [1, 3, 4]];
+        let rows = || rows.iter().map(|r| r.iter().copied());
+        // Slots 0 and 2 hold rows {0, 1}: a right guess stays.
+        assert_eq!(split_inexact(vec![0, 1, 0, 1, 2, 3], rows()), [0, 1, 0, 1, 2, 3]);
+        // Slots 0 and 4 ({0, 1} and {0, 3}) do not match; slots 1 and 3
+        // do and keep their class under its new id.
+        assert_eq!(split_inexact(vec![0, 1, 2, 1, 0, 3], rows()), [0, 1, 2, 1, 3, 4]);
+        // Two slots of one feature never share rows.
+        assert_eq!(split_inexact(vec![0, 0, 1, 1, 2, 2], rows()), [0, 1, 2, 3, 4, 5]);
     }
 
     #[test]

@@ -313,26 +313,29 @@ impl Response {
         self
     }
 
-    /// Serialize the response (status line, headers, body) to `w`.
+    /// Serialize the response (status line, headers, body) to `w` in one
+    /// `write_all`, so a `TCP_NODELAY` socket sends head and body together.
     /// `keep_alive` picks the `Connection` header.
     pub fn write_to(&self, w: &mut impl Write, keep_alive: bool) -> std::io::Result<()> {
-        let mut head = format!(
+        let mut out = Vec::with_capacity(160 + self.body.len());
+        write!(
+            out,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
             self.status,
             self.reason,
             self.content_type,
             self.body.len(),
             if keep_alive { "keep-alive" } else { "close" },
-        );
+        )?;
         for (name, value) in &self.headers {
-            head.push_str(name);
-            head.push_str(": ");
-            head.push_str(value);
-            head.push_str("\r\n");
+            out.extend_from_slice(name.as_bytes());
+            out.extend_from_slice(b": ");
+            out.extend_from_slice(value.as_bytes());
+            out.extend_from_slice(b"\r\n");
         }
-        head.push_str("\r\n");
-        w.write_all(head.as_bytes())?;
-        w.write_all(&self.body)?;
+        out.extend_from_slice(b"\r\n");
+        out.extend_from_slice(&self.body);
+        w.write_all(&out)?;
         w.flush()
     }
 }
@@ -479,6 +482,41 @@ mod tests {
         assert!(text.contains("Connection: keep-alive\r\n"));
         assert!(text.contains("Retry-After: 1\r\n"));
         assert!(text.ends_with("\r\n\r\n{\"ok\":true}"));
+    }
+
+    /// A writer that records every `write` call and every byte.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn response_is_one_write_with_unchanged_bytes() {
+        let response = Response::text(503, "busy").with_header("Retry-After", "1");
+        for keep_alive in [true, false] {
+            let mut w = CountingWriter::default();
+            response.write_to(&mut w, keep_alive).unwrap();
+            assert_eq!(w.writes, 1);
+            let connection = if keep_alive { "keep-alive" } else { "close" };
+            let expected = format!(
+                "HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/plain; charset=utf-8\r\n\
+                 Content-Length: 4\r\nConnection: {connection}\r\nRetry-After: 1\r\n\r\nbusy"
+            );
+            assert_eq!(String::from_utf8(w.bytes).unwrap(), expected);
+        }
     }
 
     #[test]

@@ -20,7 +20,6 @@ use llmpilot_obs::hist::{Histogram, LocalHistogram};
 use llmpilot_obs::Recorder;
 
 use crate::error::SimError;
-use crate::memory::MemoryModel;
 use crate::perf_model::PerfModel;
 use crate::request::RequestSpec;
 
@@ -314,13 +313,6 @@ impl Engine {
     /// KV tokens currently cached by the running batch.
     pub fn current_kv_tokens(&self) -> u64 {
         self.running_kv_tokens
-    }
-
-    /// Convenience constructor: derive the maximum batch weight bound from a
-    /// memory model (the *untuned* analytic bound; production use runs
-    /// [`crate::tuner::tune_max_batch_weight`] instead).
-    pub fn with_memory_bound(perf: PerfModel, mem: &MemoryModel) -> Self {
-        Self::new(perf, mem.max_batch_weight_bound())
     }
 
     /// Current virtual time, seconds.

@@ -68,13 +68,6 @@ impl PerfModel {
         Self { llm, profile, config, noise: LatencyNoise::none() }
     }
 
-    /// Attach a latency-noise source (builder style); see
-    /// [`crate::fault::FaultPlan::latency_noise`].
-    pub fn with_noise(mut self, noise: LatencyNoise) -> Self {
-        self.noise = noise;
-        self
-    }
-
     /// Replace the latency-noise source in place.
     pub fn set_noise(&mut self, noise: LatencyNoise) {
         self.noise = noise;

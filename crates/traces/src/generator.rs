@@ -67,16 +67,6 @@ impl TraceGenerator {
         Self { config, archetypes: default_archetypes(), latency_model: LatencyModel::default() }
     }
 
-    /// Generator with custom archetypes and latency model.
-    pub fn with_models(
-        config: TraceGeneratorConfig,
-        archetypes: Vec<Archetype>,
-        latency_model: LatencyModel,
-    ) -> Self {
-        assert!(!archetypes.is_empty(), "need at least one archetype");
-        Self { config, archetypes, latency_model }
-    }
-
     /// The configuration in use.
     pub fn config(&self) -> &TraceGeneratorConfig {
         &self.config
