@@ -1,10 +1,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-//! Typed command-line flag parsing for the LLM-Pilot binaries.
+//! Typed command-line flag parsing for the `llm-pilot` binary.
 //!
-//! Both `llm-pilot` and `llmpilot-serve` used to hand-roll
-//! `HashMap<String, String>` flag maps with per-call-site `parse().expect`
-//! plumbing. This crate replaces that with *declared* flags:
+//! Each `llm-pilot` subcommand (the `serve` daemon included) *declares*
+//! its flags instead of hand-rolling a `HashMap<String, String>` with
+//! per-call-site `parse().expect` plumbing:
 //!
 //! ```
 //! use llmpilot_cli::Command;

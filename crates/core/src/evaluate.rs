@@ -13,8 +13,6 @@
 //!   deployment costs than the true cost-optimal one (successes only);
 //! * **S/O score** (Eq. 7) — harmonic mean of `S` and `max(0, 1 − O)`.
 
-use rayon::prelude::*;
-
 use llmpilot_sim::gpu::GpuProfile;
 use llmpilot_sim::llm::llm_by_name;
 use llmpilot_sim::memory::{MemoryConfig, MemoryModel};
@@ -170,11 +168,11 @@ impl<'a> Evaluation<'a> {
     }
 
     /// Evaluate one method over every unseen LLM (the outer leave-one-out
-    /// loop), in parallel.
+    /// loop), in name order.
     pub fn evaluate(&self, method: &dyn Method) -> MethodScore {
         let llms = self.dataset.llms();
         let outcomes: Vec<LlmOutcome> = llms
-            .par_iter()
+            .iter()
             .map(|llm| {
                 let spec = match llm_by_name(llm) {
                     Some(s) => s,

@@ -29,8 +29,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use rayon::prelude::*;
-
 use llmpilot_obs::events::EventSink;
 use llmpilot_obs::flight::{self, FlightRecorder};
 use llmpilot_obs::hist::{HistSummary, Histogram};
@@ -543,15 +541,15 @@ impl SweepProgress {
         self.done_cells.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Remaining cells × median observed cell duration, divided over the
-    /// worker pool; 0 when done or before any cell has finished.
+    /// Remaining cells × median observed cell duration (cells run one at a
+    /// time); 0 when done or before any cell has finished.
     fn eta_s(&self, done: u64) -> f64 {
         let remaining = self.grid_cells.saturating_sub(done);
         if remaining == 0 || self.cell_wall.is_empty() {
             return 0.0;
         }
         let p50_s = self.cell_wall.quantile(0.5) as f64 / 1e9;
-        remaining as f64 * p50_s / rayon::current_num_threads().max(1) as f64
+        remaining as f64 * p50_s
     }
 }
 
@@ -817,7 +815,7 @@ impl<'a> SweepDriver<'a> {
         type CellResult = ((String, String), (CellStatus, f64, CellTails));
         let progress = SweepProgress::new(grid.len() as u64, resumed as u64);
         let results: Vec<CellResult> = todo
-            .par_iter()
+            .iter()
             .map(|(llm, profile)| {
                 let key = (llm.name.to_string(), profile.name());
                 let result = self.run_cell(llm, profile, &progress);

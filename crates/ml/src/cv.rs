@@ -7,8 +7,6 @@
 //! wins. The evaluation of the recommendation tool additionally nests this
 //! inside an outer leave-one-LLM-out loop (Sec. V-C).
 
-use rayon::prelude::*;
-
 /// One cross-validation fold: training and validation row indices.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fold {
@@ -50,7 +48,7 @@ pub struct GridSearchResult<P> {
 /// Exhaustive grid search: evaluate every candidate on every fold with
 /// `eval(candidate, fold) -> validation error` and return the candidate with
 /// the lowest mean error (`NaN` fold errors are skipped; a candidate with no
-/// valid folds gets `+∞`). Candidates are evaluated in parallel.
+/// valid folds gets `+∞`).
 pub fn grid_search<P, F>(candidates: Vec<P>, folds: &[Fold], eval: F) -> GridSearchResult<P>
 where
     P: Clone + Send + Sync,
@@ -60,7 +58,7 @@ where
     assert!(!folds.is_empty(), "grid search needs at least one fold");
 
     let all_errors: Vec<f64> = candidates
-        .par_iter()
+        .iter()
         .map(|p| {
             let mut total = 0.0;
             let mut count = 0usize;

@@ -5,7 +5,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 use crate::dataset::Dataset;
 use crate::error::MlError;
@@ -43,7 +42,7 @@ pub struct RandomForest {
 }
 
 impl RandomForest {
-    /// Fit the forest; trees are trained in parallel.
+    /// Fit the forest; tree `t` draws from its own RNG seeded with `seed + t`.
     pub fn fit(ds: &Dataset, params: &ForestParams) -> Result<Self, MlError> {
         if params.n_trees == 0 {
             return Err(MlError::InvalidConfig("n_trees must be >= 1".into()));
@@ -59,7 +58,6 @@ impl RandomForest {
         }
 
         let trees: Result<Vec<DecisionTree>, MlError> = (0..params.n_trees)
-            .into_par_iter()
             .map(|t| {
                 let mut rng = StdRng::seed_from_u64(params.seed.wrapping_add(t as u64));
                 if params.bootstrap {

@@ -1149,10 +1149,13 @@ mod bit_identity_tests {
             prop::sample::select(vec![1i8, -1]),
             prop::collection::vec(prop::sample::select(vec![0.0, 0.0, 0.5, 1.0, 1.0, 3.0]), 6),
         );
+        // `lambda 0`, which the fit must reject, in 1 of 32 cases.
+        let lambda = (0u32..32, prop::sample::select(vec![0.3, 1.0, 3.0]))
+            .prop_map(|(pick, lambda)| if pick == 0 { 0.0 } else { lambda });
         let knobs = (
             (1usize..12, 1usize..6, prop::sample::select(vec![0.05, 0.3, 1.0])),
             (prop::sample::select(vec![1.0, 0.8, 0.5]), prop::sample::select(vec![1.0, 0.7, 0.5])),
-            (prop::sample::select(vec![0.0, 1.0, 0.5]), prop::sample::select(vec![0.0, 1.0])),
+            (prop::sample::select(vec![0.0, 1.0, 0.5]), lambda),
             (
                 prop::sample::select(vec![2usize, 3, 8, 64]),
                 prop::sample::select(vec![0.0, 0.0, 0.2]),

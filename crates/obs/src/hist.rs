@@ -11,10 +11,10 @@
 //!
 //! Recording is a single `fetch_add` on an `AtomicU64` slot (plus atomic
 //! count/sum/min/max bookkeeping), so one histogram can be shared across
-//! threads with no locks (the workspace's `rayon` shim is sequential, so
-//! the sweep records from one thread). [`Histogram::merge`] adds another
-//! histogram's slots in, which is exactly equivalent to having recorded
-//! the union of both sample sets.
+//! threads with no locks (the daemon's workers share its latency
+//! histogram; the sweep records from one thread). [`Histogram::merge`]
+//! adds another histogram's slots in, which is exactly equivalent to
+//! having recorded the union of both sample sets.
 //!
 //! Hot loops with a single owner record into a [`LocalHistogram`] instead:
 //! the same slot layout over plain `u64`s, with no atomic per sample. It

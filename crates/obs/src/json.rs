@@ -443,10 +443,12 @@ mod tests {
 
     #[test]
     fn escape_round_trips() {
-        for original in ["plain", "quo\"te", "back\\slash", "new\nline", "tab\t", "µs → ns"] {
+        let inputs = ["plain", "quo\"te", "back\\slash", "new\nline", "tab\t", "µs → ns", "\u{1}"];
+        for original in inputs {
             let doc = format!("\"{}\"", escape(original));
             assert_eq!(parse(&doc).unwrap().as_str(), Some(original), "doc = {doc}");
         }
+        assert_eq!(escape("\u{1}"), "\\u0001");
     }
 
     #[test]

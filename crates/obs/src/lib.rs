@@ -30,9 +30,9 @@
 //!
 //! Recording from several threads is safe by construction: each thread
 //! registers its own buffer on first use, and [`Recorder::snapshot`]
-//! merges all buffers into one time-ordered [`Trace`]. The workspace's
-//! `rayon` shim is sequential, so its fan-outs record from one thread;
-//! the tests spawn `std::thread` workers.
+//! merges all buffers into one time-ordered [`Trace`]. The offline path
+//! records from one thread; the daemon's workers and the tests' spawned
+//! `std::thread`s record from several.
 
 pub mod check;
 pub mod chrome;

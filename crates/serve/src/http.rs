@@ -340,13 +340,6 @@ impl Response {
     }
 }
 
-/// Escape a string for embedding in a JSON string literal. Delegates to
-/// the shared [`llmpilot_obs::json::escape`] so every JSON emitter in the
-/// workspace agrees on one escaping.
-pub fn json_escape(s: &str) -> String {
-    llmpilot_obs::json::escape(s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -530,12 +523,5 @@ mod tests {
         assert_eq!(second.path, "/b");
         assert!(!second.keep_alive());
         assert_eq!(parse_request(&mut cursor, &limits).unwrap(), None);
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-        assert_eq!(json_escape("plain/name-1.2"), "plain/name-1.2");
     }
 }

@@ -94,15 +94,10 @@ pub struct ServeConfig {
     /// Maximum requests served on one keep-alive connection.
     pub max_requests_per_connection: u32,
     /// Observability sink: request handling and retraining record spans
-    /// here. Disabled by default; every response carries an `X-Trace-Id`
-    /// header regardless.
+    /// here, and `/metrics` reports how many. Disabled by default;
+    /// embedders that enable it export [`Recorder::snapshot`] themselves.
+    /// Every response carries an `X-Trace-Id` header regardless.
     pub recorder: Recorder,
-    /// Write a Chrome-trace JSON snapshot of the recorder here on graceful
-    /// shutdown (`None` disables; meaningless unless `recorder` is
-    /// enabled).
-    pub trace_out: Option<PathBuf>,
-    /// Print a hierarchical span summary to stderr at shutdown.
-    pub trace_summary: bool,
     /// JSONL telemetry stream: startup, hot reloads, and retrains are
     /// appended here as versioned events. Disabled by default.
     pub events: EventSink,
@@ -124,8 +119,6 @@ impl ServeConfig {
             read_timeout: Duration::from_secs(5),
             max_requests_per_connection: 10_000,
             recorder: Recorder::disabled(),
-            trace_out: None,
-            trace_summary: false,
             events: EventSink::disabled(),
         }
     }
@@ -174,18 +167,6 @@ impl ServerHandle {
         let _ = TcpStream::connect(self.addr);
         for t in self.threads {
             let _ = t.join();
-        }
-        if self.ctx.config.trace_out.is_some() || self.ctx.config.trace_summary {
-            let trace = self.ctx.config.recorder.snapshot();
-            if let Some(path) = &self.ctx.config.trace_out {
-                let json = llmpilot_obs::chrome::to_chrome_json(&trace);
-                if let Err(e) = std::fs::write(path, json) {
-                    eprintln!("warning: failed to write trace to {path:?}: {e}");
-                }
-            }
-            if self.ctx.config.trace_summary {
-                eprint!("{}", llmpilot_obs::summary::summarize(&trace));
-            }
         }
     }
 }
@@ -269,17 +250,30 @@ impl Server {
     }
 }
 
-/// Append a reload/retrain outcome to the telemetry stream. `source` is
-/// `"watch"` (mtime watcher) or `"reload"` (`POST /reload`).
-fn emit_reload_event(ctx: &Ctx, source: &str, ok: bool, generation: u64, model_generation: u64) {
+/// After a reload that changed the dataset to `reloaded_generation`:
+/// retrain on the store's current dataset, record the reload and the
+/// retrain in the metrics and the telemetry stream, and return the new
+/// model generation. `source` is `"watch"` (mtime watcher) or `"reload"`
+/// (`POST /reload`). On failure the previous model keeps serving.
+fn retrain_after_reload(
+    ctx: &Ctx,
+    source: &str,
+    reloaded_generation: u64,
+) -> Result<u64, CoreError> {
+    ctx.metrics.record_reload(reloaded_generation);
+    let (dataset, generation) = ctx.store.snapshot();
+    let trained = ctx.registry.train_and_swap(&dataset, generation);
+    let model_generation = trained.as_ref().copied().unwrap_or(0);
+    ctx.metrics.record_retrain(trained.is_ok(), model_generation);
     ctx.config.events.emit(
-        if ok { "serve.reloaded" } else { "serve.retrain_failed" },
+        if trained.is_ok() { "serve.reloaded" } else { "serve.retrain_failed" },
         &[
             ("source", ArgValue::Str(source.to_string())),
             ("dataset_generation", ArgValue::U64(generation)),
             ("model_generation", ArgValue::U64(model_generation)),
         ],
     );
+    trained
 }
 
 /// Accept connections and queue them; answer 503 when the queue is full.
@@ -350,18 +344,7 @@ fn watcher_loop(ctx: &Ctx) {
         elapsed = Duration::ZERO;
         if let Ok(outcome) = ctx.store.reload_if_modified() {
             if outcome.changed {
-                ctx.metrics.record_reload(outcome.generation);
-                let (dataset, generation) = ctx.store.snapshot();
-                match ctx.registry.train_and_swap(&dataset, generation) {
-                    Ok(model_generation) => {
-                        ctx.metrics.record_retrain(true, model_generation);
-                        emit_reload_event(ctx, "watch", true, generation, model_generation);
-                    }
-                    Err(_) => {
-                        ctx.metrics.record_retrain(false, 0);
-                        emit_reload_event(ctx, "watch", false, generation, 0);
-                    }
-                }
+                let _ = retrain_after_reload(ctx, "watch", outcome.generation);
             }
         }
     }
@@ -591,18 +574,8 @@ fn handle_reload(ctx: &Ctx) -> Response {
     match ctx.store.reload() {
         Ok(outcome) => {
             if outcome.changed {
-                ctx.metrics.record_reload(outcome.generation);
-                let (dataset, generation) = ctx.store.snapshot();
-                match ctx.registry.train_and_swap(&dataset, generation) {
-                    Ok(model_generation) => {
-                        ctx.metrics.record_retrain(true, model_generation);
-                        emit_reload_event(ctx, "reload", true, generation, model_generation);
-                    }
-                    Err(e) => {
-                        ctx.metrics.record_retrain(false, 0);
-                        emit_reload_event(ctx, "reload", false, generation, 0);
-                        return Response::json(500, error_body(&format!("retraining failed: {e}")));
-                    }
+                if let Err(e) = retrain_after_reload(ctx, "reload", outcome.generation) {
+                    return Response::json(500, error_body(&format!("retraining failed: {e}")));
                 }
             }
             let model_generation = ctx.registry.current().map_or(0, |m| m.model_generation);

@@ -3,12 +3,9 @@
 //! A *deployment* manages `n` replicas (pods) of one inference service; the
 //! cluster load-balances users across pods, which operate independently —
 //! which is why the paper observes near-perfect scaling of throughput with
-//! the number of pods. Pods are independent sequential simulators, so the
-//! deployment fans them out with `par_iter`; the workspace's offline
-//! `rayon` shim runs that fan-out sequentially, in pod order, on the
-//! calling thread.
-
-use rayon::prelude::*;
+//! the number of pods. Pods are independent sequential simulators; the
+//! deployment runs them one after another, in pod order, on the calling
+//! thread.
 
 use crate::engine::Engine;
 use crate::error::SimError;
@@ -136,7 +133,7 @@ impl Deployment {
 
     /// Load-test the deployment with `total_users` concurrent users split
     /// across pods. `make_source` builds an independent request source for
-    /// each pod (typically seeded by the pod index). Pods run in parallel.
+    /// each pod (typically seeded by the pod index). Pods run in pod order.
     ///
     /// Under a [`FaultPlan`], individual pods may be down for the whole test
     /// (decided up front, deterministically per `site`/pod index) with their
@@ -167,7 +164,7 @@ impl Deployment {
         let split = split_users(total_users, survivors.len() as u32);
         let mem = self.memory_model();
         let results: Result<Vec<Option<LoadMetrics>>, SimError> = survivors
-            .par_iter()
+            .iter()
             .zip(&split)
             .map(|(&i, &users)| {
                 if users == 0 {

@@ -327,7 +327,7 @@ fn cmd_characterize(args: &[String]) -> Result<(), Error> {
     print!("{report}");
     println!("{} rows over {} measured cells", ds.len(), ds.tuned_weights.len());
     let out = p.get(&out);
-    // `llmpilot-serve` may be watching this file: never expose a torn one.
+    // `llm-pilot serve` may be watching this file: never expose a torn one.
     write_atomic(Path::new(&out), ds.to_csv().as_bytes())?;
     println!("wrote {out}");
     topts.finish()
@@ -434,10 +434,8 @@ fn cmd_serve(args: &[String]) -> Result<(), Error> {
         "a non-negative number of seconds",
     );
     let events_out = events_flag(&mut cmd);
-    let (trace_out, trace_summary) = trace_flags(&mut cmd);
     let p = cmd.parse_or_exit(args);
 
-    let topts = trace_opts(&p, trace_out, trace_summary);
     let data = p.get(&data);
     let mut config = llm_pilot::serve::ServeConfig::new(&data);
     config.events = events_sink(&p, events_out)?;
@@ -448,15 +446,11 @@ fn cmd_serve(args: &[String]) -> Result<(), Error> {
     let watch_secs = p.get(&watch_secs);
     config.watch_interval =
         (watch_secs > 0.0).then(|| std::time::Duration::from_secs_f64(watch_secs));
-    config.recorder = topts.recorder.clone();
-    config.trace_out = topts.out.clone();
-    config.trace_summary = topts.summary;
 
     eprintln!("loading {data} and training the initial model...");
     let handle = llm_pilot::serve::Server::start(config)?;
     println!("llm-pilot serving recommendations on http://{}", handle.addr());
-    // Serve until killed; the trace (if any) is exported on graceful
-    // shutdown by embedders holding the handle.
+    // Serve until killed.
     loop {
         std::thread::park();
     }

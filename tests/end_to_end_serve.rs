@@ -1,4 +1,4 @@
-//! End-to-end test of the `llmpilot-serve` daemon: start on an ephemeral
+//! End-to-end test of the `llm-pilot serve` daemon: start on an ephemeral
 //! port, hammer `/recommend` from concurrent client threads, hot-reload
 //! the dataset mid-load, and check that no response is dropped or
 //! corrupted, that post-reload answers reflect the new dataset, and that
@@ -10,6 +10,8 @@ use std::time::Duration;
 
 use llm_pilot::core::{CharacterizationDataset, PerfRow, PredictorConfig};
 use llm_pilot::ml::GbdtParams;
+use llm_pilot::obs::events::EventSink;
+use llm_pilot::obs::json::{parse as parse_json, Json};
 use llm_pilot::serve::{http_request, HttpClient, ServeConfig, Server};
 
 /// Synthetic characterization rows: `itl_scale[profile]` sets per-user
@@ -218,11 +220,9 @@ fn serve_end_to_end_with_hot_reload_under_concurrent_load() {
 }
 
 #[test]
-fn serve_issues_trace_ids_and_writes_a_chrome_trace_at_shutdown() {
+fn serve_issues_trace_ids_and_records_spans_for_the_embedder_to_export() {
     let dir = std::env::temp_dir();
-    let pid = std::process::id();
-    let data_path = dir.join(format!("llmpilot-e2e-trace-{pid}.csv"));
-    let trace_path = dir.join(format!("llmpilot-e2e-trace-{pid}.json"));
+    let data_path = dir.join(format!("llmpilot-e2e-trace-{}.csv", std::process::id()));
     std::fs::write(&data_path, dataset_v1().to_csv()).unwrap();
 
     let recorder = llm_pilot::obs::Recorder::enabled();
@@ -232,7 +232,6 @@ fn serve_issues_trace_ids_and_writes_a_chrome_trace_at_shutdown() {
     config.watch_interval = None;
     config.predictor = fast_predictor();
     config.recorder = recorder.clone();
-    config.trace_out = Some(trace_path.clone());
     let handle = Server::start(config).expect("server should start");
     let addr = handle.addr();
 
@@ -265,9 +264,11 @@ fn serve_issues_trace_ids_and_writes_a_chrome_trace_at_shutdown() {
 
     handle.shutdown();
 
-    // Shutdown flushed a valid Chrome trace containing the request spans
-    // and the startup `serve.retrain` with the training phases beneath it.
-    let document = std::fs::read_to_string(&trace_path).expect("trace file written at shutdown");
+    // After shutdown the embedder's own export is a valid Chrome trace
+    // containing the request spans and the startup `serve.retrain` with the
+    // training phases beneath it.
+    let snapshot = recorder.snapshot();
+    let document = llm_pilot::obs::chrome::to_chrome_json(&snapshot);
     let stats = llm_pilot::obs::check::check_chrome_trace(
         &document,
         &["serve.request", "serve.retrain", "serving.train", "gbdt.fit"],
@@ -275,14 +276,55 @@ fn serve_issues_trace_ids_and_writes_a_chrome_trace_at_shutdown() {
     .expect("trace must validate");
     assert!(stats.span_events >= 4, "expected request + retrain spans, got {}", stats.span_events);
 
-    let snapshot = recorder.snapshot();
     let requests = snapshot.events.iter().filter(|s| s.name == "serve.request").count();
     assert_eq!(requests, 5, "four probes plus the /metrics scrape");
     let retrains = snapshot.events.iter().filter(|s| s.name == "serve.retrain").count();
     assert_eq!(retrains, 1, "exactly one startup training run");
 
     std::fs::remove_file(&data_path).ok();
-    std::fs::remove_file(&trace_path).ok();
+}
+
+#[test]
+fn serve_writes_a_valid_telemetry_stream_with_startup_and_reload_events() {
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let data_path = dir.join(format!("llmpilot-e2e-events-{pid}.csv"));
+    let events_path = dir.join(format!("llmpilot-e2e-events-{pid}.jsonl"));
+    std::fs::write(&data_path, dataset_v1().to_csv()).unwrap();
+
+    let mut config = ServeConfig::new(&data_path);
+    config.addr = "127.0.0.1:0".into();
+    config.workers = 2;
+    config.watch_interval = None;
+    config.predictor = fast_predictor();
+    config.events = EventSink::create(events_path.to_str().unwrap()).unwrap();
+    let handle = Server::start(config).expect("server should start");
+    let addr = handle.addr();
+
+    std::fs::write(&data_path, dataset_v2().to_csv()).unwrap();
+    let reload = http_request(addr, "POST", "/reload").unwrap();
+    assert_eq!(reload.status, 200, "body: {}", reload.text());
+    assert_eq!(extract_u64(&reload.text(), "model_generation"), Some(2));
+    handle.shutdown();
+
+    let text = std::fs::read_to_string(&events_path).expect("events file written");
+    let stats = llm_pilot::obs::check::check_events(&text).expect("stream must validate");
+    assert_eq!(stats.events, 2, "stream: {text}");
+    assert!(!stats.truncated_tail);
+    let events: Vec<Json> = text.lines().map(|l| parse_json(l).unwrap()).collect();
+    let text_field = |i: usize, key: &str| events[i].get(key).and_then(Json::as_str);
+    let generation = |i: usize, key: &str| events[i].get(key).and_then(Json::as_u64);
+    assert_eq!(text_field(0, "event"), Some("serve.started"));
+    assert_eq!(text_field(0, "addr"), Some(addr.to_string().as_str()));
+    assert_eq!(generation(0, "dataset_generation"), Some(1));
+    assert_eq!(generation(0, "model_generation"), Some(1));
+    assert_eq!(text_field(1, "event"), Some("serve.reloaded"));
+    assert_eq!(text_field(1, "source"), Some("reload"));
+    assert_eq!(generation(1, "dataset_generation"), Some(2));
+    assert_eq!(generation(1, "model_generation"), Some(2));
+
+    std::fs::remove_file(&data_path).ok();
+    std::fs::remove_file(&events_path).ok();
 }
 
 #[test]
