@@ -4,7 +4,6 @@
 
 use llmpilot_core::characterize::WorkloadRequestSource;
 use llmpilot_sim::cluster::Deployment;
-use llmpilot_sim::fault::FaultPlan;
 use llmpilot_sim::gpu::{a100_80, GpuProfile};
 use llmpilot_sim::llm::llama2_13b;
 
@@ -26,18 +25,12 @@ pub fn table(pods_list: &[u32], users_list: &[u32]) -> Vec<Vec<f64>> {
                     // virtual time is free and the diagonal-variance claim
                     // needs the workload-mix noise averaged out.
                     let metrics = deployment
-                        .run_load_test(
-                            users,
-                            600.0,
-                            |pod| {
-                                WorkloadRequestSource::new(
-                                    sampler.clone(),
-                                    0x7AB1 ^ (u64::from(pods) << 32) ^ pod as u64,
-                                )
-                            },
-                            &FaultPlan::none(),
-                            "",
-                        )
+                        .run_load_test(users, 600.0, |pod| {
+                            WorkloadRequestSource::new(
+                                sampler.clone(),
+                                0x7AB1 ^ (u64::from(pods) << 32) ^ pod as u64,
+                            )
+                        })
                         .expect("load test");
                     metrics.throughput_per_pod
                 })

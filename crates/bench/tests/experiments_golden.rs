@@ -5,8 +5,11 @@
 //! tests with a warm-up (`fig1`), paged admission with preemption
 //! (`ablate_paged`), multi-pod deployments (`table1`, including the
 //! Table I diagonal spread), the Sec. V-A sampling ablation
-//! (`corr_ablation`) and 80 GBDT fits over the sweep dataset under four
-//! weight/monotone settings (`ablate_regressor`).
+//! (`corr_ablation`), 80 GBDT fits over the sweep dataset under four
+//! weight/monotone settings (`ablate_regressor`) and fault-injected sweeps
+//! under 1–32 retries (`resilience`): deploy failures, tuning OOMs and
+//! load-test crashes, the one experiment that drives a `FaultPlan` end to
+//! end.
 
 use std::path::Path;
 use std::process::Command;
@@ -50,4 +53,9 @@ fn corr_ablation_matches_the_golden() {
 #[test]
 fn ablate_regressor_matches_the_golden() {
     assert_matches_golden("ablate_regressor");
+}
+
+#[test]
+fn resilience_matches_the_golden() {
+    assert_matches_golden("resilience");
 }

@@ -412,7 +412,8 @@ impl NnMethod {
         }
     }
 
-    fn log_target(&self) -> bool {
+    /// Whether the variant fits log-latency (PerfNet fits latency itself).
+    fn fits_log_latency(&self) -> bool {
         self.variant != NnVariant::PerfNet
     }
 
@@ -426,7 +427,7 @@ impl NnMethod {
                 .ok_or_else(|| CoreError::Parse(format!("unknown profile {:?}", r.profile)))?;
             feature_rows.push(featurize(&llm, &profile, r.users, false));
             let y = target.of(r).max(1e-9);
-            targets.push(if self.log_target() { y.ln() } else { y });
+            targets.push(if self.fits_log_latency() { y.ln() } else { y });
         }
         Ok(Dataset::from_rows(&feature_rows, targets)?)
     }
@@ -463,7 +464,7 @@ impl Method for NnMethod {
             for &u in &input.request.user_grid {
                 let x = featurize(input.test_llm, p, u, false);
                 let (mut l1, mut l2) = (nttft.predict_row(&x), itl.predict_row(&x));
-                if self.log_target() {
+                if self.fits_log_latency() {
                     l1 = l1.exp();
                     l2 = l2.exp();
                 }

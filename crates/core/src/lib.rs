@@ -43,6 +43,5 @@ pub use recommend::{
 };
 pub use serving::{online_predictor_config, ServingModel};
 pub use sweep::{
-    CellStatus, CellTails, FlightOptions, SweepDriver, SweepDriverBuilder, SweepOptions,
-    SweepReport,
+    CellStatus, CellTails, SweepDriver, SweepDriverBuilder, SweepOptions, SweepReport,
 };

@@ -3,7 +3,9 @@
 //! characterization data with the Eq.-(4) constraint-proximity sample
 //! weights and a monotonicity constraint on the number of concurrent
 //! users, with hyperparameters tuned by leave-one-LLM-out cross-validation
-//! minimizing the weighted MAPE.
+//! minimizing the weighted MAPE. The trees fit log-latency (a monotone
+//! transform that evens out relative accuracy across the orders of
+//! magnitude latencies span), and predictions are exponentiated back.
 
 use llmpilot_ml::{grid_search, leave_one_group_out, weighted_mape, Dataset, Gbdt, GbdtParams};
 use llmpilot_obs::Recorder;
@@ -43,9 +45,6 @@ pub struct PredictorConfig {
     pub use_sample_weights: bool,
     /// Apply the monotonicity constraint on concurrent users.
     pub use_monotone_constraint: bool,
-    /// Fit the trees on log-latency (monotone transform; improves relative
-    /// accuracy across the orders of magnitude latencies span).
-    pub log_target: bool,
     /// Base GBDT hyperparameters (monotone vector is filled in here).
     pub gbdt: GbdtParams,
 }
@@ -55,7 +54,6 @@ impl Default for PredictorConfig {
         Self {
             use_sample_weights: true,
             use_monotone_constraint: true,
-            log_target: true,
             gbdt: GbdtParams { n_trees: 200, max_depth: 5, ..GbdtParams::default() },
         }
     }
@@ -79,8 +77,7 @@ fn build_dataset(
         let profile = parse_profile(&r.profile)
             .ok_or_else(|| CoreError::Parse(format!("unknown profile {:?}", r.profile)))?;
         feature_rows.push(featurize(&llm, &profile, r.users, true));
-        let y = target.of(r).max(1e-9);
-        targets.push(if config.log_target { y.ln() } else { y });
+        targets.push(target.of(r).max(1e-9).ln());
     }
     let mut ds = Dataset::from_rows(&feature_rows, targets)?;
     if config.use_sample_weights {
@@ -94,7 +91,6 @@ fn build_dataset(
 pub struct PerformancePredictor {
     nttft: Gbdt,
     itl: Gbdt,
-    log_target: bool,
 }
 
 impl PerformancePredictor {
@@ -128,11 +124,7 @@ impl PerformancePredictor {
             let ds = build_dataset(rows, target, constraints, config)?;
             Ok(Gbdt::fit_traced(&ds, &gbdt, recorder)?)
         };
-        Ok(Self {
-            nttft: fit(Target::Nttft)?,
-            itl: fit(Target::Itl)?,
-            log_target: config.log_target,
-        })
+        Ok(Self { nttft: fit(Target::Nttft)?, itl: fit(Target::Itl)? })
     }
 
     /// Predict `(nTTFT, ITL)` in seconds for an LLM on a profile at a user
@@ -157,12 +149,7 @@ impl PerformancePredictor {
             .iter()
             .map(|&u| {
                 x[users_feature] = f64::from(u);
-                let (a, b) = (self.nttft.predict_row(&x), self.itl.predict_row(&x));
-                if self.log_target {
-                    (a.exp(), b.exp())
-                } else {
-                    (a, b)
-                }
+                (self.nttft.predict_row(&x).exp(), self.itl.predict_row(&x).exp())
             })
             .collect()
     }

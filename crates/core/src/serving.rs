@@ -14,7 +14,7 @@
 //! LLM, the GPU profile and the per-pod user count, not on the query's
 //! total users or SLA. So the model tables them once: the first query for
 //! a catalog LLM on the paper's grid [`PAPER_USER_GRID`] fills that LLM's
-//! [`LatencyTable`] behind a `OnceLock`, and every later query runs only
+//! latency table behind a `OnceLock`, and every later query runs only
 //! the Eq. (1)–(3) search over it. A retrain builds a new model with empty
 //! tables, so a table never outlives the predictor it came from.
 

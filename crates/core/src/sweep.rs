@@ -75,26 +75,11 @@ pub struct SweepOptions {
     /// completeness and ETA. Disabled by default; events never change the
     /// measured dataset.
     pub events: EventSink,
-    /// Flight recorder: when set, each cell's spans are captured in a
-    /// bounded ring and dumped to `<dir>/flight-<llm>-<profile>.json` when
-    /// the cell exhausts its retries (or a panic unwinds mid-cell).
-    pub flight: Option<FlightOptions>,
-}
-
-/// Where (and how large) the per-cell flight recorder is.
-#[derive(Debug, Clone)]
-pub struct FlightOptions {
-    /// Directory receiving `flight-<llm>-<profile>.json` dumps.
-    pub dir: PathBuf,
-    /// Ring capacity in spans (most recent are kept).
-    pub capacity: usize,
-}
-
-impl FlightOptions {
-    /// Flight recording into `dir` with the default ring capacity.
-    pub fn new(dir: PathBuf) -> Self {
-        Self { dir, capacity: flight::DEFAULT_CAPACITY }
-    }
+    /// Flight recorder: when set, each cell's most recent
+    /// [`flight::DEFAULT_CAPACITY`] spans are kept in a ring and dumped to
+    /// `<dir>/flight-<llm>-<profile>.json` when the cell exhausts its
+    /// retries (or a panic unwinds mid-cell).
+    pub flight_dir: Option<PathBuf>,
 }
 
 impl Default for SweepOptions {
@@ -109,7 +94,7 @@ impl Default for SweepOptions {
             max_cells_per_run: None,
             recorder: Recorder::disabled(),
             events: EventSink::disabled(),
-            flight: None,
+            flight_dir: None,
         }
     }
 }
@@ -668,12 +653,9 @@ impl<'a> SweepDriver<'a> {
         // bounded per-cell ring instead of the sweep recorder, so a dump
         // holds exactly the failing cell's last moments. The armed guard
         // also dumps the ring if a panic unwinds through this cell.
-        let flight = self.options.flight.as_ref().map(|opts| {
+        let flight = self.options.flight_dir.as_ref().map(|dir| {
             flight::install_panic_hook();
-            (
-                FlightRecorder::new(opts.capacity),
-                opts.dir.join(flight::dump_file_name(llm.name, &name)),
-            )
+            (FlightRecorder::default(), dir.join(flight::dump_file_name(llm.name, &name)))
         });
         let _armed = flight.as_ref().map(|(fl, path)| flight::arm(fl, path.clone()));
         let cell_rec: Recorder =
@@ -1268,7 +1250,7 @@ mod tests {
                 ..FaultConfig::disabled()
             }),
             max_attempts: 2,
-            flight: Some(FlightOptions::new(dir.clone())),
+            flight_dir: Some(dir.clone()),
             ..SweepOptions::default()
         };
         let (_, report) = driver(&llms, &profiles, &s, quick_config(), options).run().unwrap();
@@ -1299,10 +1281,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let plain =
             driver(&llms, &profiles, &s, quick_config(), SweepOptions::default()).run().unwrap();
-        let options = SweepOptions {
-            flight: Some(FlightOptions::new(dir.clone())),
-            ..SweepOptions::default()
-        };
+        let options = SweepOptions { flight_dir: Some(dir.clone()), ..SweepOptions::default() };
         let flighted = driver(&llms, &profiles, &s, quick_config(), options).run().unwrap();
         assert_eq!(plain, flighted, "flight recording must not perturb the sweep");
         // All cells succeeded (or were infeasible): no dumps at all.

@@ -20,8 +20,8 @@ use crate::error::MlError;
 use crate::histogram::{FeatureBins, SlotClasses};
 
 /// Hyperparameters of the GBDT (the set the paper tunes in Sec. IV-B-3:
-/// number of boosted trees, maximum depth, learning rate, subsampling
-/// rates, tree method and histogram bin count).
+/// number of boosted trees, maximum depth, learning rate, row subsampling
+/// rate, tree method and histogram bin count).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GbdtParams {
     /// Number of boosting rounds.
@@ -32,8 +32,6 @@ pub struct GbdtParams {
     pub learning_rate: f64,
     /// Row subsampling rate per tree, in `(0, 1]`.
     pub subsample: f64,
-    /// Column subsampling rate per tree, in `(0, 1]`.
-    pub colsample: f64,
     /// Minimum hessian (total sample weight) per child; finite and `>= 0`.
     pub min_child_weight: f64,
     /// L2 regularization on leaf values; finite and `> 0`.
@@ -43,12 +41,6 @@ pub struct GbdtParams {
     /// Per-feature monotone constraints: `+1` increasing, `-1` decreasing,
     /// `0` unconstrained. Empty = no constraints.
     pub monotone_constraints: Vec<i8>,
-    /// Early stopping: fraction of rows held out as a validation set
-    /// (0 disables). Boosting stops once the validation RMSE has not
-    /// improved for [`Self::early_stopping_rounds`] rounds.
-    pub validation_fraction: f64,
-    /// Patience of early stopping (ignored when `validation_fraction` is 0).
-    pub early_stopping_rounds: usize,
     /// RNG seed for subsampling.
     pub seed: u64,
 }
@@ -60,13 +52,10 @@ impl Default for GbdtParams {
             max_depth: 6,
             learning_rate: 0.1,
             subsample: 1.0,
-            colsample: 1.0,
             min_child_weight: 1.0,
             lambda: 1.0,
             max_bins: 64,
             monotone_constraints: Vec::new(),
-            validation_fraction: 0.0,
-            early_stopping_rounds: 10,
             seed: 4,
         }
     }
@@ -153,7 +142,6 @@ struct TreeBuilder<'a> {
     grad: &'a [f64],
     hess: &'a [f64],
     params: &'a GbdtParams,
-    features: &'a [usize],
     nodes: Vec<Node>,
     /// Per-feature accumulated split gain (XGBoost's `gain` importance).
     gain: &'a mut [f64],
@@ -258,8 +246,7 @@ impl TreeBuilder<'_> {
     ) -> Option<(usize, u16, f64, f64, f64)> {
         // One pass over the rows fills every class: consecutive adds go to
         // different classes, so they do not wait on each other even when
-        // consecutive rows share a bin. Classes of features left out by
-        // column sampling are filled too and never read.
+        // consecutive rows share a bin.
         self.acc.fill(GradPair::default());
         for &r in rows {
             let (g, h) = (self.grad[r as usize], self.hess[r as usize]);
@@ -273,7 +260,7 @@ impl TreeBuilder<'_> {
         let mut best_gain = 1e-9;
         let mut best = None;
 
-        for &f in self.features {
+        for f in 0..self.n_cols {
             let classes = self.classes.classes_of(self.bins.slots(f));
             let nbins = classes.len();
             let constraint = self.params.monotone_constraints.get(f).copied().unwrap_or(0);
@@ -335,9 +322,6 @@ impl Gbdt {
         if !(0.0..=1.0).contains(&params.subsample) || params.subsample == 0.0 {
             return Err(MlError::InvalidConfig("subsample must be in (0, 1]".into()));
         }
-        if !(0.0..=1.0).contains(&params.colsample) || params.colsample == 0.0 {
-            return Err(MlError::InvalidConfig("colsample must be in (0, 1]".into()));
-        }
         if !params.monotone_constraints.is_empty()
             && params.monotone_constraints.len() != ds.n_cols()
         {
@@ -346,9 +330,6 @@ impl Gbdt {
                 params.monotone_constraints.len(),
                 ds.n_cols()
             )));
-        }
-        if !(0.0..1.0).contains(&params.validation_fraction) {
-            return Err(MlError::InvalidConfig("validation_fraction must be in [0, 1)".into()));
         }
         // A positive `lambda` keeps every `g² / (h + lambda)` split score
         // finite: zero-weight rows give nodes with zero hessian.
@@ -385,46 +366,23 @@ impl Gbdt {
         let mut gain = vec![0.0f64; ds.n_cols()];
         let mut acc = vec![GradPair::default(); classes.n_classes()];
         let mut spill = Vec::with_capacity(n);
-        // This round's tree rows, and the rows it leaves out (not
-        // subsampled, or held out for validation).
+        // This round's tree rows, and the rows subsampling leaves out.
         let mut rows: Vec<u32> = Vec::with_capacity(n);
         let mut left_out: Vec<u32> = Vec::new();
-
-        // Optional validation hold-out for early stopping.
-        let validation: Vec<usize> = if params.validation_fraction > 0.0 {
-            let k = ((n as f64 * params.validation_fraction).round() as usize).clamp(1, n - 1);
-            sample_without_replacement(n, k, &mut rng)
-        } else {
-            Vec::new()
-        };
-        let is_validation = {
-            let mut mask = vec![false; n];
-            for &i in &validation {
-                mask[i] = true;
-            }
-            mask
-        };
-        let mut best_val_rmse = f64::INFINITY;
-        let mut rounds_without_improvement = 0usize;
 
         for round in 0..params.n_trees {
             let _tree_span = recorder.span("gbdt.tree").arg("round", round);
             for i in 0..n {
-                // Squared loss: g = w (pred − y), h = w. Validation rows
-                // carry zero hessian so they never influence the fit.
-                let w = if is_validation[i] { 0.0 } else { weights[i] };
-                grad[i] = w * (pred[i] - ds.targets()[i]);
-                hess[i] = w;
+                // Squared loss: g = w (pred − y), h = w.
+                grad[i] = weights[i] * (pred[i] - ds.targets()[i]);
+                hess[i] = weights[i];
             }
 
             rows.clear();
             left_out.clear();
             for i in 0..n as u32 {
-                // The RNG is drawn once per non-validation row, and only
-                // when subsampling.
-                let in_tree = !is_validation[i as usize]
-                    && (params.subsample >= 1.0 || rng.random::<f64>() < params.subsample);
-                if in_tree {
+                // The RNG is drawn once per row, and only when subsampling.
+                if params.subsample >= 1.0 || rng.random::<f64>() < params.subsample {
                     rows.push(i);
                 } else {
                     left_out.push(i);
@@ -433,13 +391,6 @@ impl Gbdt {
             if rows.is_empty() {
                 continue;
             }
-            let features: Vec<usize> = if params.colsample < 1.0 {
-                let k =
-                    ((ds.n_cols() as f64 * params.colsample).ceil() as usize).clamp(1, ds.n_cols());
-                sample_without_replacement(ds.n_cols(), k, &mut rng)
-            } else {
-                (0..ds.n_cols()).collect()
-            };
 
             // Building the tree also adds its leaf values to the
             // predictions of its own rows.
@@ -451,7 +402,6 @@ impl Gbdt {
                 grad: &grad,
                 hess: &hess,
                 params,
-                features: &features,
                 nodes: Vec::new(),
                 gain: &mut gain,
                 acc: &mut acc,
@@ -465,22 +415,6 @@ impl Gbdt {
                 pred[i as usize] += params.learning_rate * tree.predict_row(ds.row(i as usize));
             }
             trees.push(tree);
-
-            if !validation.is_empty() {
-                let mse: f64 =
-                    validation.iter().map(|&i| (pred[i] - ds.targets()[i]).powi(2)).sum::<f64>()
-                        / validation.len() as f64;
-                let rmse = mse.sqrt();
-                if rmse + 1e-12 < best_val_rmse {
-                    best_val_rmse = rmse;
-                    rounds_without_improvement = 0;
-                } else {
-                    rounds_without_improvement += 1;
-                    if rounds_without_improvement >= params.early_stopping_rounds {
-                        break;
-                    }
-                }
-            }
         }
 
         // Normalize the gain importances.
@@ -518,23 +452,12 @@ impl Gbdt {
     }
 }
 
-/// `k` distinct indices out of `0..n` (partial Fisher–Yates).
-fn sample_without_replacement<R: Rng + ?Sized>(n: usize, k: usize, rng: &mut R) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..n).collect();
-    for i in 0..k {
-        let j = rng.random_range(i..n);
-        idx.swap(i, j);
-    }
-    idx.truncate(k);
-    idx
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::{r2, rmse};
 
-    fn make_data(n: usize, seed: u64) -> (Dataset, Vec<f64>) {
+    pub(super) fn make_data(n: usize, seed: u64) -> (Dataset, Vec<f64>) {
         let mut rng = StdRng::seed_from_u64(seed);
         let rows: Vec<Vec<f64>> =
             (0..n).map(|_| vec![rng.random::<f64>() * 4.0, rng.random::<f64>() * 4.0]).collect();
@@ -647,7 +570,7 @@ mod tests {
     #[test]
     fn subsampling_still_fits() {
         let (ds, targets) = make_data(1000, 8);
-        let params = GbdtParams { subsample: 0.7, colsample: 0.5, ..GbdtParams::default() };
+        let params = GbdtParams { subsample: 0.7, ..GbdtParams::default() };
         let model = Gbdt::fit(&ds, &params).unwrap();
         assert!(r2(&targets, &model.predict(&ds)) > 0.9);
     }
@@ -657,7 +580,7 @@ mod tests {
         let (ds, _) = make_data(50, 9);
         assert!(Gbdt::fit(&ds, &GbdtParams { n_trees: 0, ..GbdtParams::default() }).is_err());
         assert!(Gbdt::fit(&ds, &GbdtParams { subsample: 0.0, ..GbdtParams::default() }).is_err());
-        assert!(Gbdt::fit(&ds, &GbdtParams { colsample: 1.5, ..GbdtParams::default() }).is_err());
+        assert!(Gbdt::fit(&ds, &GbdtParams { subsample: 1.5, ..GbdtParams::default() }).is_err());
         assert!(Gbdt::fit(
             &ds,
             &GbdtParams { monotone_constraints: vec![1], ..GbdtParams::default() }
@@ -703,32 +626,12 @@ mod tests {
         let model = Gbdt::fit(&ds, &GbdtParams::default()).unwrap();
         assert!((model.predict_row(&[2.0]) - 7.0).abs() < 1e-9);
     }
-
-    #[test]
-    fn sample_without_replacement_is_distinct() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let s = sample_without_replacement(10, 5, &mut rng);
-        assert_eq!(s.len(), 5);
-        let mut d = s.clone();
-        d.sort_unstable();
-        d.dedup();
-        assert_eq!(d.len(), 5);
-    }
 }
 
 #[cfg(test)]
 mod extension_tests {
+    use super::tests::make_data;
     use super::*;
-    use crate::metrics::r2;
-
-    fn make_data(n: usize, seed: u64) -> (Dataset, Vec<f64>) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let rows: Vec<Vec<f64>> =
-            (0..n).map(|_| vec![rng.random::<f64>() * 4.0, rng.random::<f64>() * 4.0]).collect();
-        let targets: Vec<f64> =
-            rows.iter().map(|r| (r[0] * 1.3).sin() * 2.0 + r[1] * r[1] * 0.4 + 1.0).collect();
-        (Dataset::from_rows(&rows, targets.clone()).unwrap(), targets)
-    }
 
     #[test]
     fn gain_importance_is_normalized_and_ranks_signal() {
@@ -743,40 +646,6 @@ mod extension_tests {
         let imp = model.feature_importance();
         assert!((imp.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!(imp[0] > 0.95, "importance = {imp:?}");
-    }
-
-    #[test]
-    fn early_stopping_truncates_the_ensemble() {
-        let (ds, _) = make_data(500, 21);
-        let full = Gbdt::fit(&ds, &GbdtParams { n_trees: 400, ..GbdtParams::default() }).unwrap();
-        let stopped = Gbdt::fit(
-            &ds,
-            &GbdtParams {
-                n_trees: 400,
-                validation_fraction: 0.2,
-                early_stopping_rounds: 5,
-                ..GbdtParams::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(full.num_trees(), 400);
-        assert!(
-            stopped.num_trees() < 400,
-            "early stopping never fired ({} trees)",
-            stopped.num_trees()
-        );
-        // And the stopped model still fits well.
-        let (test, test_y) = make_data(300, 22);
-        assert!(r2(&test_y, &stopped.predict(&test)) > 0.9);
-    }
-
-    #[test]
-    fn invalid_validation_fraction_rejected() {
-        let (ds, _) = make_data(50, 23);
-        assert!(Gbdt::fit(&ds, &GbdtParams { validation_fraction: 1.0, ..GbdtParams::default() })
-            .is_err());
-        assert!(Gbdt::fit(&ds, &GbdtParams { validation_fraction: -0.1, ..GbdtParams::default() })
-            .is_err());
     }
 
     #[test]
@@ -810,29 +679,6 @@ mod extension_tests {
         let fitted = trace.counters.iter().find(|(k, _)| k == "gbdt.trees_fitted").unwrap().1;
         assert_eq!(fitted, 12);
     }
-
-    #[test]
-    fn monotone_constraint_holds_with_early_stopping() {
-        let mut rng = StdRng::seed_from_u64(24);
-        let rows: Vec<Vec<f64>> = (0..600).map(|i| vec![f64::from(i) / 60.0]).collect();
-        let targets: Vec<f64> = rows.iter().map(|r| r[0] + (rng.random::<f64>() - 0.5)).collect();
-        let ds = Dataset::from_rows(&rows, targets).unwrap();
-        let model = Gbdt::fit(
-            &ds,
-            &GbdtParams {
-                monotone_constraints: vec![1],
-                validation_fraction: 0.15,
-                ..GbdtParams::default()
-            },
-        )
-        .unwrap();
-        let mut last = f64::NEG_INFINITY;
-        for i in 0..=600 {
-            let p = model.predict_row(&[f64::from(i) / 60.0]);
-            assert!(p >= last - 1e-9);
-            last = p;
-        }
-    }
 }
 
 /// The tree builder as it was before the one-pass histogram fill: one
@@ -850,7 +696,6 @@ mod reference {
         grad: &'a [f64],
         hess: &'a [f64],
         params: &'a GbdtParams,
-        features: Vec<usize>,
         nodes: Vec<Node>,
         gain: &'a mut [f64],
     }
@@ -908,7 +753,7 @@ mod reference {
             let parent_score = total.score(lambda);
             let mut best_gain = 1e-9;
             let mut best = None;
-            for &f in &self.features {
+            for f in 0..self.n_cols {
                 let nbins = self.bins.num_bins(f);
                 let mut hist = vec![GradPair::default(); nbins];
                 for &r in rows {
@@ -963,43 +808,19 @@ mod reference {
         let mut grad = vec![0.0; n];
         let mut hess = vec![0.0; n];
         let mut gain = vec![0.0f64; ds.n_cols()];
-        let validation: Vec<usize> = if params.validation_fraction > 0.0 {
-            let k = ((n as f64 * params.validation_fraction).round() as usize).clamp(1, n - 1);
-            sample_without_replacement(n, k, &mut rng)
-        } else {
-            Vec::new()
-        };
-        let mut is_validation = vec![false; n];
-        for &i in &validation {
-            is_validation[i] = true;
-        }
-        let mut best_val_rmse = f64::INFINITY;
-        let mut rounds_without_improvement = 0usize;
         for _ in 0..params.n_trees {
             for i in 0..n {
-                let w = if is_validation[i] { 0.0 } else { weights[i] };
-                grad[i] = w * (pred[i] - ds.targets()[i]);
-                hess[i] = w;
+                grad[i] = weights[i] * (pred[i] - ds.targets()[i]);
+                hess[i] = weights[i];
             }
             let rows: Vec<u32> = if params.subsample < 1.0 {
-                (0..n as u32)
-                    .filter(|&i| {
-                        !is_validation[i as usize] && rng.random::<f64>() < params.subsample
-                    })
-                    .collect()
+                (0..n as u32).filter(|_| rng.random::<f64>() < params.subsample).collect()
             } else {
-                (0..n as u32).filter(|&i| !is_validation[i as usize]).collect()
+                (0..n as u32).collect()
             };
             if rows.is_empty() {
                 continue;
             }
-            let features: Vec<usize> = if params.colsample < 1.0 {
-                let k =
-                    ((ds.n_cols() as f64 * params.colsample).ceil() as usize).clamp(1, ds.n_cols());
-                sample_without_replacement(ds.n_cols(), k, &mut rng)
-            } else {
-                (0..ds.n_cols()).collect()
-            };
             let mut builder = TreeBuilder {
                 bins: &bins,
                 binned: &binned,
@@ -1007,7 +828,6 @@ mod reference {
                 grad: &grad,
                 hess: &hess,
                 params,
-                features,
                 nodes: Vec::new(),
                 gain: &mut gain,
             };
@@ -1017,21 +837,6 @@ mod reference {
                 *p += params.learning_rate * tree.predict_row(ds.row(i));
             }
             trees.push(tree);
-            if !validation.is_empty() {
-                let mse: f64 =
-                    validation.iter().map(|&i| (pred[i] - ds.targets()[i]).powi(2)).sum::<f64>()
-                        / validation.len() as f64;
-                let rmse = mse.sqrt();
-                if rmse + 1e-12 < best_val_rmse {
-                    best_val_rmse = rmse;
-                    rounds_without_improvement = 0;
-                } else {
-                    rounds_without_improvement += 1;
-                    if rounds_without_improvement >= params.early_stopping_rounds {
-                        break;
-                    }
-                }
-            }
         }
         let total: f64 = gain.iter().sum();
         if total > 0.0 {
@@ -1096,7 +901,7 @@ mod bit_identity_tests {
         Vec<(Vec<u32>, usize, u32)>,
         Vec<Vec<(usize, usize, bool)>>,
         (i8, Vec<f64>),
-        ((usize, usize, f64), (f64, f64), (f64, f64), (usize, f64, usize), (u64, bool)),
+        ((usize, usize, f64), (f64, f64, f64), (usize, u64, bool)),
     );
 
     /// A generated case: the training set, its parameters and probe rows
@@ -1115,7 +920,7 @@ mod bit_identity_tests {
     /// hold exactly the same rows, as the per-LLM columns and the
     /// per-profile columns of the real dataset do. Cases also cover
     /// constant columns, heavy ties, adjacent floats, zero weights,
-    /// monotone ±1 and every sampling/regularization knob.
+    /// monotone ±1, row subsampling and every regularization knob.
     ///
     /// Each probe row takes every column from an independently chosen
     /// training row, or the midpoint of two rows' values, so two twin
@@ -1154,14 +959,12 @@ mod bit_identity_tests {
             .prop_map(|(pick, lambda)| if pick == 0 { 0.0 } else { lambda });
         let knobs = (
             (1usize..12, 1usize..6, prop::sample::select(vec![0.05, 0.3, 1.0])),
-            (prop::sample::select(vec![1.0, 0.8, 0.5]), prop::sample::select(vec![1.0, 0.7, 0.5])),
-            (prop::sample::select(vec![0.0, 1.0, 0.5]), lambda),
             (
-                prop::sample::select(vec![2usize, 3, 8, 64]),
-                prop::sample::select(vec![0.0, 0.0, 0.2]),
-                1usize..4,
+                prop::sample::select(vec![1.0, 0.8, 0.5]),
+                prop::sample::select(vec![0.0, 1.0, 0.5]),
+                lambda,
             ),
-            (0u64..1000, any_bool()),
+            (prop::sample::select(vec![2usize, 3, 8, 64]), 0u64..1000, any_bool()),
         );
         (columns, derived, cells, probes, users, knobs).prop_map(build_case)
     }
@@ -1216,10 +1019,8 @@ mod bit_identity_tests {
 
         let (
             (n_trees, max_depth, learning_rate),
-            (subsample, colsample),
-            (min_child_weight, lambda),
-            (max_bins, validation_fraction, early_stopping_rounds),
-            (seed, constrained),
+            (subsample, min_child_weight, lambda),
+            (max_bins, seed, constrained),
         ) = knobs;
         let monotone_constraints = if constrained {
             let mut c: Vec<i8> = columns.iter().map(|&(_, c)| c).collect();
@@ -1242,13 +1043,10 @@ mod bit_identity_tests {
             max_depth,
             learning_rate,
             subsample,
-            colsample,
             min_child_weight,
             lambda,
             max_bins,
             monotone_constraints,
-            validation_fraction,
-            early_stopping_rounds,
             seed,
         };
         Case { ds, params, probes }

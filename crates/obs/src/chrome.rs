@@ -4,7 +4,7 @@
 //! `chrome://tracing` and [Perfetto](https://ui.perfetto.dev): one complete
 //! (`"ph":"X"`) event per span with microsecond `ts`/`dur`, thread-name
 //! metadata (`"ph":"M"`) per logical thread, and one counter (`"ph":"C"`)
-//! sample per recorder counter/gauge. Span `args` carry the typed span
+//! sample per recorder counter. Span `args` carry the typed span
 //! arguments plus the span `id`/`parent` links so tooling (and our own
 //! checker) can rebuild the tree exactly.
 
@@ -30,7 +30,7 @@ fn write_arg(w: &mut JsonWriter, value: &ArgValue) {
     }
 }
 
-fn write_counter_event(w: &mut JsonWriter, name: &str, value: &str, ts_us: &str) {
+fn write_counter_event(w: &mut JsonWriter, name: &str, value: u64, ts_us: &str) {
     w.newline();
     w.begin_object();
     w.key("name");
@@ -44,8 +44,7 @@ fn write_counter_event(w: &mut JsonWriter, name: &str, value: &str, ts_us: &str)
     w.key("args");
     w.begin_object();
     w.key("value");
-    // Pre-rendered so u64 counters and i64 gauges both stay exact.
-    w.raw(value);
+    w.u64(value);
     w.end_object();
     w.end_object();
 }
@@ -113,14 +112,11 @@ pub fn to_chrome_json(trace: &Trace) -> String {
         w.end_object();
     }
 
-    // Counters and gauges as single counter samples at the trace end.
+    // Counters as single counter samples at the trace end.
     let end_ns = trace.events.iter().map(|e| e.end_ns).max().unwrap_or(0);
     let end_us = fmt_us(end_ns);
     for (name, value) in &trace.counters {
-        write_counter_event(&mut w, name, &value.to_string(), &end_us);
-    }
-    for (name, value) in &trace.gauges {
-        write_counter_event(&mut w, name, &value.to_string(), &end_us);
+        write_counter_event(&mut w, name, *value, &end_us);
     }
 
     w.newline();
@@ -147,12 +143,11 @@ mod tests {
             let _b = rec.span("inner").arg("ratio", 0.5f64).arg("ok", true);
         }
         rec.counter_add("steps", 11);
-        rec.gauge_set("depth", -3);
         let doc = to_chrome_json(&rec.snapshot());
         let v = parse(&doc).unwrap();
         let events = v.get("traceEvents").unwrap().as_array().unwrap();
-        // 1 metadata + 2 spans + 1 counter + 1 gauge.
-        assert_eq!(events.len(), 5);
+        // 1 metadata + 2 spans + 1 counter.
+        assert_eq!(events.len(), 4);
         let spans: Vec<&Json> =
             events.iter().filter(|e| e.get("ph").and_then(Json::as_str) == Some("X")).collect();
         assert_eq!(spans.len(), 2);
@@ -168,7 +163,8 @@ mod tests {
         assert_eq!(inner.get("args").unwrap().get("ok"), Some(&Json::Bool(true)));
         let counters: Vec<&Json> =
             events.iter().filter(|e| e.get("ph").and_then(Json::as_str) == Some("C")).collect();
-        assert_eq!(counters.len(), 2);
+        assert_eq!(counters.len(), 1);
+        assert_eq!(counters[0].get("args").unwrap().get("value").unwrap().as_u64(), Some(11));
     }
 
     #[test]

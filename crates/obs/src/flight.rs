@@ -1,16 +1,16 @@
 //! Bounded ring-buffer flight recorder for crash forensics.
 //!
-//! PR 1's fault injection makes sweep cells fail on purpose; PR 3's span
-//! trace is only written at clean shutdown, so until now the evidence of
-//! *why* a cell failed died with the run. A [`FlightRecorder`] is a
-//! [`Recorder`](crate::Recorder) in ring-buffer mode
+//! Injected faults make sweep cells fail on purpose, and a span trace is
+//! only written at clean shutdown, so without a flight recorder the
+//! evidence of *why* a cell failed dies with the run. A [`FlightRecorder`]
+//! is a [`Recorder`] in ring-buffer mode
 //! ([`Recorder::ring`](crate::Recorder::ring)): every thread keeps only
 //! its most recent `capacity` completed spans, so memory stays bounded no
 //! matter how long a cell runs, and the *latest* spans — the ones leading
 //! up to the failure — are always retained.
 //!
 //! `SweepDriver` arms one flight recorder per cell and dumps it to
-//! `<journal-dir>/flight-<cell>.json` (a Chrome `trace_event` document
+//! `<flight-dir>/flight-<llm>-<profile>.json` (a Chrome `trace_event` document
 //! that `trace-check` accepts) when:
 //!
 //! 1. the cell exhausts its retry budget and escalates to

@@ -12,8 +12,8 @@
 //!   span does not even read the clock.
 //! * [`Span`] — an RAII guard. The span is recorded when the guard drops;
 //!   typed arguments ([`ArgValue`]) attach via [`Span::arg`].
-//! * [`Counter`] / [`Recorder::counter_add`] / [`Recorder::gauge_set`] —
-//!   atomic counters and gauges, exported as Chrome `"C"` events.
+//! * [`Counter`] / [`Recorder::counter_add`] — atomic counters, exported
+//!   as Chrome `"C"` events.
 //! * [`chrome`] — Chrome `trace_event` JSON export (loadable in
 //!   `chrome://tracing` and Perfetto), [`summary`] — a plain-text
 //!   hierarchical profile, [`json`] — a tiny JSON parser plus the shared
@@ -45,7 +45,7 @@ pub mod summary;
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
@@ -138,14 +138,12 @@ pub struct Trace {
     pub events: Vec<SpanEvent>,
     /// Final counter values, sorted by name.
     pub counters: Vec<(String, u64)>,
-    /// Final gauge values, sorted by name.
-    pub gauges: Vec<(String, i64)>,
 }
 
 impl Trace {
-    /// Whether the trace holds no spans, counters, or gauges.
+    /// Whether the trace holds no spans or counters.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty() && self.counters.is_empty() && self.gauges.is_empty()
+        self.events.is_empty() && self.counters.is_empty()
     }
 }
 
@@ -164,7 +162,6 @@ struct Inner {
     next_tid: AtomicU64,
     threads: Mutex<Vec<Arc<ThreadBuf>>>,
     counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
-    gauges: Mutex<BTreeMap<String, Arc<AtomicI64>>>,
     spans_recorded: AtomicU64,
     /// `Some(n)`: each thread buffer keeps only the most recent `n`
     /// completed spans (ring-buffer mode, used by [`flight`]).
@@ -206,16 +203,6 @@ impl Inner {
         map.insert(name.to_string(), Arc::clone(&cell));
         cell
     }
-
-    fn gauge_cell(&self, name: &str) -> Arc<AtomicI64> {
-        let mut map = self.gauges.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(cell) = map.get(name) {
-            return Arc::clone(cell);
-        }
-        let cell = Arc::new(AtomicI64::new(0));
-        map.insert(name.to_string(), Arc::clone(&cell));
-        cell
-    }
 }
 
 /// A lock-light structured trace recorder.
@@ -229,7 +216,7 @@ pub struct Recorder {
 }
 
 impl Recorder {
-    /// A recorder that captures spans, counters, and gauges.
+    /// A recorder that captures spans and counters.
     pub fn enabled() -> Self {
         Recorder::build(None)
     }
@@ -237,7 +224,7 @@ impl Recorder {
     /// A bounded recorder: each thread's buffer keeps only the most
     /// recent `capacity` completed spans, older spans are evicted FIFO.
     /// This is the storage behind [`flight::FlightRecorder`]; counters
-    /// and gauges are unaffected by the bound.
+    /// are unaffected by the bound.
     pub fn ring(capacity: usize) -> Self {
         Recorder::build(Some(capacity.max(1)))
     }
@@ -251,14 +238,13 @@ impl Recorder {
                 next_tid: AtomicU64::new(1),
                 threads: Mutex::new(Vec::new()),
                 counters: Mutex::new(BTreeMap::new()),
-                gauges: Mutex::new(BTreeMap::new()),
                 spans_recorded: AtomicU64::new(0),
                 per_thread_capacity,
             })),
         }
     }
 
-    /// The no-op recorder. Spans, counters, and gauges all short-circuit;
+    /// The no-op recorder. Spans and counters short-circuit;
     /// opening a span does not read the clock.
     pub fn disabled() -> Self {
         Recorder { inner: None }
@@ -310,13 +296,6 @@ impl Recorder {
         }
     }
 
-    /// Set the named gauge to `value`.
-    pub fn gauge_set(&self, name: &str, value: i64) {
-        if let Some(inner) = &self.inner {
-            inner.gauge_cell(name).store(value, Ordering::Relaxed);
-        }
-    }
-
     /// Number of spans recorded so far (completed guards).
     pub fn spans_recorded(&self) -> u64 {
         match &self.inner {
@@ -349,14 +328,7 @@ impl Recorder {
             .iter()
             .map(|(name, cell)| (name.clone(), cell.load(Ordering::Relaxed)))
             .collect();
-        let gauges = inner
-            .gauges
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|(name, cell)| (name.clone(), cell.load(Ordering::Relaxed)))
-            .collect();
-        Trace { events, counters, gauges }
+        Trace { events, counters }
     }
 }
 
@@ -472,7 +444,6 @@ mod tests {
         {
             let _root = rec.span("root").arg("k", 1u64);
             rec.counter_add("c", 5);
-            rec.gauge_set("g", -2);
         }
         assert!(!rec.is_enabled());
         assert_eq!(rec.spans_recorded(), 0);
@@ -525,17 +496,14 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_gauges_snapshot() {
+    fn counters_snapshot() {
         let rec = Recorder::enabled();
         let c = rec.counter("steps");
         c.add(3);
         c.add(4);
         rec.counter_add("steps", 1);
-        rec.gauge_set("depth", 7);
-        rec.gauge_set("depth", -1);
         let trace = rec.snapshot();
         assert_eq!(trace.counters, vec![("steps".to_string(), 8)]);
-        assert_eq!(trace.gauges, vec![("depth".to_string(), -1)]);
         assert_eq!(c.get(), 8);
     }
 

@@ -4,7 +4,7 @@
 //! reports, per path: call count, total inclusive time, and p50/p95/p99
 //! **self-time** — the span's duration minus the duration of its direct
 //! children, i.e. time actually spent in that phase rather than delegated.
-//! Self-times feed an [`hist::Histogram`], so the percentiles are true
+//! Self-times feed a [`Histogram`], so the percentiles are true
 //! tail quantiles (≤1% relative error), and the table is sorted by
 //! cumulative (inclusive) time descending so the most expensive subtree
 //! reads first.
@@ -124,13 +124,10 @@ pub fn summarize(trace: &Trace) -> String {
         render(&mut out, name, node, 0);
     }
 
-    if !trace.counters.is_empty() || !trace.gauges.is_empty() {
+    if !trace.counters.is_empty() {
         out.push_str("\ncounters:\n");
         for (name, value) in &trace.counters {
             out.push_str(&format!("  {name:<50} {value:>12}\n"));
-        }
-        for (name, value) in &trace.gauges {
-            out.push_str(&format!("  {name:<50} {value:>12} (gauge)\n"));
         }
     }
     out
@@ -179,7 +176,6 @@ mod tests {
                 mk("child", 2, Some(1), 1_000_000, 9_000_000), // 8 ms
             ],
             counters: vec![],
-            gauges: vec![],
         };
         let text = summarize(&trace);
         // Root self time = 10 - 8 = 2 ms = 2000 µs, within the ≤1%
@@ -204,7 +200,6 @@ mod tests {
                 args: vec![],
             }],
             counters: vec![],
-            gauges: vec![],
         };
         let text = summarize(&trace);
         assert!(text.contains("lost"));
@@ -231,7 +226,6 @@ mod tests {
                 mk("middling", 3, 1_000, 2_000_000),
             ],
             counters: vec![],
-            gauges: vec![],
         };
         let text = summarize(&trace);
         let pos = |name: &str| text.find(name).unwrap();

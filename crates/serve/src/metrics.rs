@@ -157,26 +157,6 @@ impl Metrics {
         self.trace_spans.store(spans, Ordering::Relaxed);
     }
 
-    /// Total requests observed on one route.
-    pub fn requests(&self, route: Route) -> u64 {
-        self.requests_by_route[route.index()].load(Ordering::Relaxed)
-    }
-
-    /// Cache `(hits, misses)`.
-    pub fn cache_counts(&self) -> (u64, u64) {
-        (self.cache_hits.load(Ordering::Relaxed), self.cache_misses.load(Ordering::Relaxed))
-    }
-
-    /// Current queue depth.
-    pub fn queue_depth(&self) -> u64 {
-        self.queue_depth.load(Ordering::Relaxed)
-    }
-
-    /// Connections rejected by admission control.
-    pub fn rejected(&self) -> u64 {
-        self.queue_rejected.load(Ordering::Relaxed)
-    }
-
     /// Render the registry in Prometheus text exposition format.
     pub fn render(&self) -> String {
         let mut out = String::with_capacity(2048);
@@ -189,7 +169,7 @@ impl Metrics {
                 out,
                 "llmpilot_requests_total{{route=\"{}\"}} {}",
                 route.label(),
-                self.requests(route)
+                g(&self.requests_by_route[route.index()])
             );
         }
 
@@ -306,17 +286,14 @@ mod tests {
         m.record_cache(true);
         m.record_cache(false);
         m.record_enqueued();
+        m.record_enqueued();
+        m.record_dequeued();
+        m.record_rejected();
         m.record_reload(2);
         m.record_retrain(true, 3);
         m.record_retrain(false, 0);
         m.record_latency(Duration::from_micros(300));
         m.record_latency(Duration::from_secs(5));
-
-        assert_eq!(m.requests(Route::Recommend), 2);
-        assert_eq!(m.cache_counts(), (1, 1));
-        assert_eq!(m.queue_depth(), 1);
-        m.record_dequeued();
-        assert_eq!(m.queue_depth(), 0);
 
         let text = m.render();
         assert!(text.contains("llmpilot_requests_total{route=\"recommend\"} 2"));
@@ -324,6 +301,10 @@ mod tests {
         assert!(text.contains("llmpilot_responses_total{class=\"2xx\"} 1"));
         assert!(text.contains("llmpilot_responses_total{class=\"4xx\"} 1"));
         assert!(text.contains("llmpilot_cache_requests_total{result=\"hit\"} 1"));
+        assert!(text.contains("llmpilot_cache_requests_total{result=\"miss\"} 1"));
+        assert!(text.contains("llmpilot_queue_depth 1\n"));
+        assert!(text.contains("llmpilot_queue_rejected_total 1\n"));
+        assert!(text.contains("llmpilot_connections_total 2\n"));
         assert!(text.contains("llmpilot_dataset_generation 2"));
         assert!(text.contains("llmpilot_model_generation 3"));
         assert!(text.contains("llmpilot_retrains_total{outcome=\"failure\"} 1"));

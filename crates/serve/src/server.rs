@@ -153,11 +153,6 @@ impl ServerHandle {
         self.addr
     }
 
-    /// The daemon's metric registry (for embedding tests/benchmarks).
-    pub fn metrics(&self) -> &Metrics {
-        &self.ctx.metrics
-    }
-
     /// Graceful shutdown: stop accepting, drain queued and in-flight
     /// connections, join every thread.
     pub fn shutdown(self) {

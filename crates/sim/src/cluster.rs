@@ -9,7 +9,7 @@
 
 use crate::engine::Engine;
 use crate::error::SimError;
-use crate::fault::FaultPlan;
+use crate::fault::LoadFaults;
 use crate::gpu::GpuProfile;
 use crate::llm::LlmSpec;
 use crate::load::{run_load_test_observed, LoadMetrics, LoadTestConfig};
@@ -32,9 +32,6 @@ pub struct ClusterMetrics {
     pub throughput_per_pod: f64,
     /// Total deployment throughput, tokens/s.
     pub total_throughput: f64,
-    /// Number of pods that failed at test start (injected faults); their
-    /// traffic was re-balanced onto the survivors. Always 0 without faults.
-    pub failed_pods: u32,
 }
 
 /// Split `total_users` across `pods` as evenly as possible (round-robin
@@ -134,53 +131,34 @@ impl Deployment {
     /// Load-test the deployment with `total_users` concurrent users split
     /// across pods. `make_source` builds an independent request source for
     /// each pod (typically seeded by the pod index). Pods run in pod order.
-    ///
-    /// Under a [`FaultPlan`], individual pods may be down for the whole test
-    /// (decided up front, deterministically per `site`/pod index) with their
-    /// traffic re-balanced onto the survivors, surviving pods may crash or
-    /// OOM mid-test, and step times pick up latency noise. With
-    /// [`FaultPlan::none`] the `site` is irrelevant and no fault fires.
     pub fn run_load_test<S, F>(
         &self,
         total_users: u32,
         duration_s: f64,
         make_source: F,
-        plan: &FaultPlan,
-        site: &str,
     ) -> Result<ClusterMetrics, SimError>
     where
         S: RequestSource + Send,
         F: Fn(usize) -> S + Sync,
     {
-        let survivors: Vec<usize> = (0..self.pods as usize)
-            .filter(|i| !plan.pod_fails(&format!("{site}/pod{i}")))
-            .collect();
-        if survivors.is_empty() {
-            return Err(SimError::AllPodsFailed { pods: self.pods });
-        }
-        let failed_pods = self.pods - survivors.len() as u32;
-        // Traffic that would have reached the failed pods re-balances onto
-        // the survivors.
-        let split = split_users(total_users, survivors.len() as u32);
         let mem = self.memory_model();
-        let results: Result<Vec<Option<LoadMetrics>>, SimError> = survivors
-            .iter()
-            .zip(&split)
-            .map(|(&i, &users)| {
-                if users == 0 {
-                    return Ok(None);
-                }
-                let pod_site = format!("{site}/pod{i}");
-                let mut engine =
-                    self.make_engine().with_latency_noise(plan.latency_noise(&pod_site));
-                let mut source = make_source(i);
-                let config = LoadTestConfig { duration_s, warmup_s: 0.0, concurrent_users: users };
-                let mut faults = plan.load_faults(&pod_site, duration_s);
-                run_load_test_observed(&mut engine, &mem, &mut source, &config, &mut faults, None)
-                    .map(Some)
-            })
-            .collect();
-        let per_pod: Vec<LoadMetrics> = results?.into_iter().flatten().collect();
+        let mut per_pod = Vec::new();
+        for (i, users) in split_users(total_users, self.pods).into_iter().enumerate() {
+            if users == 0 {
+                continue;
+            }
+            let mut engine = self.make_engine();
+            let mut source = make_source(i);
+            let config = LoadTestConfig { duration_s, warmup_s: 0.0, concurrent_users: users };
+            per_pod.push(run_load_test_observed(
+                &mut engine,
+                &mem,
+                &mut source,
+                &config,
+                &mut LoadFaults::none(),
+                None,
+            )?);
+        }
         let total_throughput: f64 = per_pod.iter().map(|m| m.throughput_tokens_per_s).sum();
         Ok(ClusterMetrics {
             pods: self.pods,
@@ -190,7 +168,6 @@ impl Deployment {
             throughput_per_pod: total_throughput / f64::from(self.pods),
             total_throughput,
             per_pod,
-            failed_pods,
         })
     }
 }
@@ -231,8 +208,8 @@ mod tests {
         // have nearly identical throughput per pod.
         let d1 = Deployment::new(llama2_13b(), GpuProfile::new(a100_80(), 1), 1).unwrap();
         let d2 = Deployment::new(llama2_13b(), GpuProfile::new(a100_80(), 1), 2).unwrap();
-        let m1 = d1.run_load_test(8, 120.0, source, &FaultPlan::none(), "").unwrap();
-        let m2 = d2.run_load_test(16, 120.0, source, &FaultPlan::none(), "").unwrap();
+        let m1 = d1.run_load_test(8, 120.0, source).unwrap();
+        let m2 = d2.run_load_test(16, 120.0, source).unwrap();
         let rel = (m1.throughput_per_pod - m2.throughput_per_pod).abs()
             / m1.throughput_per_pod.max(m2.throughput_per_pod);
         assert!(rel < 0.05, "relative deviation {rel}");
@@ -241,7 +218,7 @@ mod tests {
     #[test]
     fn total_throughput_sums_pods() {
         let d = Deployment::new(llama2_13b(), GpuProfile::new(a100_80(), 1), 4).unwrap();
-        let m = d.run_load_test(32, 60.0, source, &FaultPlan::none(), "").unwrap();
+        let m = d.run_load_test(32, 60.0, source).unwrap();
         assert_eq!(m.per_pod.len(), 4);
         let sum: f64 = m.per_pod.iter().map(|p| p.throughput_tokens_per_s).sum();
         assert!((m.total_throughput - sum).abs() < 1e-9);
@@ -251,7 +228,7 @@ mod tests {
     #[test]
     fn zero_user_pods_are_skipped() {
         let d = Deployment::new(llama2_13b(), GpuProfile::new(a100_80(), 1), 8).unwrap();
-        let m = d.run_load_test(2, 30.0, source, &FaultPlan::none(), "").unwrap();
+        let m = d.run_load_test(2, 30.0, source).unwrap();
         assert_eq!(m.per_pod.len(), 2);
     }
 
@@ -263,59 +240,11 @@ mod tests {
     }
 
     #[test]
-    fn none_plan_ignores_the_site() {
-        let d = Deployment::new(llama2_13b(), GpuProfile::new(a100_80(), 1), 3).unwrap();
-        let plain = d.run_load_test(12, 60.0, source, &FaultPlan::none(), "").unwrap();
-        let sited = d.run_load_test(12, 60.0, source, &FaultPlan::none(), "cluster/x").unwrap();
-        assert_eq!(sited.failed_pods, 0);
-        assert_eq!(plain, sited);
-    }
-
-    #[test]
-    fn all_pods_failed_is_reported() {
-        let d = Deployment::new(llama2_13b(), GpuProfile::new(a100_80(), 1), 2).unwrap();
-        let plan = FaultPlan::new(crate::fault::FaultConfig {
-            pod_failure_prob: 1.0,
-            ..crate::fault::FaultConfig::disabled()
-        });
-        assert_eq!(
-            d.run_load_test(8, 30.0, source, &plan, "cluster/x"),
-            Err(SimError::AllPodsFailed { pods: 2 })
-        );
-    }
-
-    #[test]
-    fn failed_pods_rebalance_traffic_to_survivors() {
-        let d = Deployment::new(llama2_13b(), GpuProfile::new(a100_80(), 1), 4).unwrap();
-        // Scan seeds for a plan where some (but not all) of the 4 pods fail;
-        // the decision function is cheap and deterministic.
-        let plan = (0..64)
-            .map(|seed| {
-                FaultPlan::new(crate::fault::FaultConfig {
-                    seed,
-                    pod_failure_prob: 0.5,
-                    ..crate::fault::FaultConfig::disabled()
-                })
-            })
-            .find(|p| {
-                let down = (0..4).filter(|i| p.pod_fails(&format!("cluster/x/pod{i}"))).count();
-                (1..=3).contains(&down)
-            })
-            .expect("some seed must down 1..=3 of 4 pods");
-        let m = d.run_load_test(16, 60.0, source, &plan, "cluster/x").unwrap();
-        assert!(m.failed_pods >= 1 && m.failed_pods <= 3);
-        // All 16 users were re-balanced onto the survivors.
-        assert_eq!(m.per_pod.len(), 4 - m.failed_pods as usize);
-        let served: u32 = m.per_pod.iter().map(|p| p.concurrent_users).sum();
-        assert_eq!(served, 16);
-    }
-
-    #[test]
     fn more_pods_serve_more_users_at_same_per_user_rate() {
         let d1 = Deployment::new(llama2_13b(), GpuProfile::new(a100_80(), 1), 1).unwrap();
         let d4 = Deployment::new(llama2_13b(), GpuProfile::new(a100_80(), 1), 4).unwrap();
-        let m1 = d1.run_load_test(128, 120.0, source, &FaultPlan::none(), "").unwrap();
-        let m4 = d4.run_load_test(128, 120.0, source, &FaultPlan::none(), "").unwrap();
+        let m1 = d1.run_load_test(128, 120.0, source).unwrap();
+        let m4 = d4.run_load_test(128, 120.0, source).unwrap();
         // Four pods at 32 users each beat one saturated pod at 128 users.
         assert!(m4.total_throughput > m1.total_throughput);
     }

@@ -59,8 +59,8 @@ pub enum SimError {
         /// Virtual time of the crash, seconds.
         at_s: f64,
     },
-    /// A step ran out of GPU memory near the batch-weight boundary
-    /// (injected fault).
+    /// The batch-weight tuning run ran out of GPU memory at the weight
+    /// boundary (injected fault).
     OutOfMemory {
         /// Running batch weight at the OOM, tokens.
         running_weight: u64,
@@ -72,11 +72,6 @@ pub enum SimError {
     BudgetExhausted {
         /// Which budget, and its limit.
         what: String,
-    },
-    /// Every pod of a deployment failed; no survivors to re-balance to.
-    AllPodsFailed {
-        /// Number of pods in the deployment.
-        pods: u32,
     },
 }
 
@@ -110,9 +105,6 @@ impl fmt::Display for SimError {
                 "out of memory at batch weight {running_weight} of {max_batch_weight} tokens"
             ),
             SimError::BudgetExhausted { what } => write!(f, "budget exhausted: {what}"),
-            SimError::AllPodsFailed { pods } => {
-                write!(f, "all {pods} pods of the deployment failed")
-            }
         }
     }
 }

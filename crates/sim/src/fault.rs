@@ -1,14 +1,20 @@
 //! Deterministic fault injection for the simulator.
 //!
 //! On real hardware the characterization pipeline (Sec. III) is exactly the
-//! part that fails: OOMs at the batch-weight boundary (the reason Sec.
-//! III-C-2's corner-case probes exist), transient deploy failures, crashed
-//! pods mid-load-test, and straggler iterations. This module lets the
-//! simulator reproduce those failures *reproducibly*: a [`FaultPlan`] is a
-//! seeded description of which fault classes fire and how often, and every
-//! decision is drawn from a SplitMix64 stream derived from `(plan seed,
-//! site string)` — so two runs with the same plan make identical decisions,
-//! regardless of thread scheduling or call interleaving across cells.
+//! part that fails: transient deploy failures, OOMs of the batch-weight
+//! tuning run at the weight boundary (the reason Sec. III-C-2's corner-case
+//! probes exist), crashed pods mid-load-test, and noisy or straggling
+//! iterations. This module lets the simulator reproduce those failures
+//! *reproducibly*: a [`FaultPlan`] is a seeded description of which fault
+//! classes fire and how often, and every decision is drawn from a
+//! SplitMix64 stream derived from `(plan seed, site string)` — so two runs
+//! with the same plan make identical decisions, regardless of thread
+//! scheduling or call interleaving across cells.
+//!
+//! The three transient classes (deploy failure, tuning OOM, load-test
+//! crash) are what [`FaultConfig::transient`] enables and what the sweep
+//! retries. Latency noise and stragglers perturb step times instead and
+//! never abort anything.
 //!
 //! Fault *sites* are strings identifying one decision point, e.g.
 //! `deploy/Llama-2-13b/1xA100-80GB#a0`. Including the retry attempt in the
@@ -33,18 +39,9 @@ pub struct FaultConfig {
     /// Probability that one batch-weight tuning run aborts with an OOM at
     /// the weight boundary (the real-world corner-case crash).
     pub tuning_oom_prob: f64,
-    /// Per-step probability of an OOM *when the running batch weight is
-    /// within [`Self::oom_margin`] of the engine's maximum batch weight*.
-    pub oom_prob: f64,
-    /// Capacity margin that puts a step at OOM risk: a step is "near
-    /// capacity" when `running_weight >= (1 - oom_margin) * max_batch_weight`.
-    pub oom_margin: f64,
     /// Probability that one load test crashes at a uniform virtual-time
     /// point inside its window.
     pub crash_prob: f64,
-    /// Probability that one pod of a multi-pod deployment is down for a
-    /// cluster load test (traffic re-balances to survivors).
-    pub pod_failure_prob: f64,
     /// Amplitude of multiplicative latency noise on every modeled step time:
     /// each queried step time is scaled by a factor uniform in
     /// `[1 - amplitude, 1 + amplitude]`. Zero disables noise entirely.
@@ -62,10 +59,7 @@ impl FaultConfig {
             seed: 0,
             deploy_failure_prob: 0.0,
             tuning_oom_prob: 0.0,
-            oom_prob: 0.0,
-            oom_margin: 0.05,
             crash_prob: 0.0,
-            pod_failure_prob: 0.0,
             latency_noise_amplitude: 0.0,
             straggler_prob: 0.0,
             straggler_factor: 4.0,
@@ -167,18 +161,6 @@ impl FaultPlan {
         &self.config
     }
 
-    /// Whether the plan can never inject anything.
-    pub fn is_none(&self) -> bool {
-        let c = &self.config;
-        c.deploy_failure_prob <= 0.0
-            && c.tuning_oom_prob <= 0.0
-            && c.oom_prob <= 0.0
-            && c.crash_prob <= 0.0
-            && c.pod_failure_prob <= 0.0
-            && c.latency_noise_amplitude <= 0.0
-            && c.straggler_prob <= 0.0
-    }
-
     fn rng(&self, class: &str, site: &str) -> SiteRng {
         SiteRng::new(self.config.seed, &format!("{class}/{site}"))
     }
@@ -196,15 +178,8 @@ impl FaultPlan {
             && self.rng("tune", site).chance(self.config.tuning_oom_prob)
     }
 
-    /// Whether the pod at `site` is down for this cluster load test.
-    pub fn pod_fails(&self, site: &str) -> bool {
-        self.config.pod_failure_prob > 0.0
-            && self.rng("pod", site).chance(self.config.pod_failure_prob)
-    }
-
     /// The in-test fault state for one load test of `duration_s` virtual
-    /// seconds at `site`: a pre-drawn crash time (if the test crashes) and
-    /// the per-step OOM injector.
+    /// seconds at `site`: a pre-drawn crash time, if the test crashes.
     pub fn load_faults(&self, site: &str, duration_s: f64) -> LoadFaults {
         let crash_at = if self.config.crash_prob > 0.0 {
             let mut rng = self.rng("crash", site);
@@ -216,16 +191,7 @@ impl FaultPlan {
         } else {
             None
         };
-        let oom = if self.config.oom_prob > 0.0 {
-            Some(OomFault {
-                prob: self.config.oom_prob,
-                margin: self.config.oom_margin,
-                rng: self.rng("oom", site),
-            })
-        } else {
-            None
-        };
-        LoadFaults { crash_at, oom, max_steps: None, max_virtual_s: None, steps_used: 0 }
+        LoadFaults { crash_at, ..LoadFaults::none() }
     }
 
     /// The latency-noise state for one engine at `site`; [`LatencyNoise`] is
@@ -243,31 +209,12 @@ impl FaultPlan {
     }
 }
 
-/// Per-step OOM injection state for one load test.
-#[derive(Debug, Clone)]
-pub struct OomFault {
-    prob: f64,
-    margin: f64,
-    rng: SiteRng,
-}
-
-impl OomFault {
-    /// Whether this step OOMs, given the running batch weight and capacity.
-    /// Draws only when the batch is within the risk margin of capacity.
-    pub fn step_ooms(&mut self, running_weight: u64, max_batch_weight: u64) -> bool {
-        let threshold = (1.0 - self.margin) * max_batch_weight as f64;
-        running_weight as f64 >= threshold && self.rng.chance(self.prob)
-    }
-}
-
 /// Fault state threaded through one load test; see
 /// [`crate::load::run_load_test_observed`].
 #[derive(Debug, Clone)]
 pub struct LoadFaults {
     /// Virtual time at which the engine crashes (pre-drawn), if any.
     pub crash_at: Option<f64>,
-    /// Per-step OOM injector, if enabled.
-    pub oom: Option<OomFault>,
     /// Step budget: the load test fails with
     /// [`SimError::BudgetExhausted`] instead of running past this many
     /// engine iterations (a guard against virtual-time stalls).
@@ -282,24 +229,13 @@ pub struct LoadFaults {
 }
 
 impl LoadFaults {
-    /// No crash, no OOM, no budget: a load test that injects nothing.
+    /// No crash, no budget: a load test that injects nothing.
     pub fn none() -> Self {
-        LoadFaults {
-            crash_at: None,
-            oom: None,
-            max_steps: None,
-            max_virtual_s: None,
-            steps_used: 0,
-        }
+        LoadFaults { crash_at: None, max_steps: None, max_virtual_s: None, steps_used: 0 }
     }
 
     /// Check the fault state after one engine step at virtual time `clock`.
-    pub fn check_step(
-        &mut self,
-        clock: f64,
-        running_weight: u64,
-        max_batch_weight: u64,
-    ) -> Result<(), SimError> {
+    pub fn check_step(&mut self, clock: f64) -> Result<(), SimError> {
         self.steps_used += 1;
         if let Some(max) = self.max_steps {
             if self.steps_used > max {
@@ -318,11 +254,6 @@ impl LoadFaults {
         if let Some(t) = self.crash_at {
             if clock >= t {
                 return Err(SimError::EngineCrashed { at_s: t });
-            }
-        }
-        if let Some(oom) = &mut self.oom {
-            if oom.step_ooms(running_weight, max_batch_weight) {
-                return Err(SimError::OutOfMemory { running_weight, max_batch_weight });
             }
         }
         Ok(())
@@ -392,13 +323,10 @@ mod tests {
     #[test]
     fn none_plan_injects_nothing() {
         let plan = FaultPlan::none();
-        assert!(plan.is_none());
         assert!(!plan.deploy_fails("deploy/x"));
         assert!(!plan.tuning_ooms("tune/x"));
-        assert!(!plan.pod_fails("pod/x"));
         let lf = plan.load_faults("load/x", 120.0);
         assert!(lf.crash_at.is_none());
-        assert!(lf.oom.is_none());
         let noise = plan.latency_noise("noise/x");
         assert!(noise.is_none());
         for _ in 0..16 {
@@ -431,27 +359,13 @@ mod tests {
     }
 
     #[test]
-    fn oom_only_fires_near_capacity() {
-        let plan = FaultPlan::new(FaultConfig {
-            oom_prob: 1.0,
-            oom_margin: 0.1,
-            ..FaultConfig::disabled()
-        });
-        let mut lf = plan.load_faults("load/x", 60.0);
-        // Far below capacity: never.
-        assert!(lf.check_step(1.0, 100, 10_000).is_ok());
-        // Within 10% of capacity with prob 1: always.
-        assert!(matches!(lf.check_step(2.0, 9_500, 10_000), Err(SimError::OutOfMemory { .. })));
-    }
-
-    #[test]
     fn step_budget_trips() {
         let mut lf = LoadFaults::none();
         lf.max_steps = Some(3);
         for _ in 0..3 {
-            assert!(lf.check_step(0.0, 0, 100).is_ok());
+            assert!(lf.check_step(0.0).is_ok());
         }
-        assert!(matches!(lf.check_step(0.0, 0, 100), Err(SimError::BudgetExhausted { .. })));
+        assert!(matches!(lf.check_step(0.0), Err(SimError::BudgetExhausted { .. })));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! let profile = GpuProfile::new(gpu::a100_80(), 1);
 //! let deployment = Deployment::new(llm, profile, 1).unwrap();
 //! let source = |_pod| FixedSource::constant(RequestSpec::new(300, 100));
-//! let metrics = deployment.run_load_test(4, 30.0, source, &FaultPlan::none(), "").unwrap();
+//! let metrics = deployment.run_load_test(4, 30.0, source).unwrap();
 //! assert!(metrics.total_throughput > 0.0);
 //! ```
 

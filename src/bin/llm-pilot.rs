@@ -32,8 +32,8 @@ use llm_pilot::core::recommend::{
 };
 use llm_pilot::core::sweep::write_atomic;
 use llm_pilot::core::{
-    CharacterizationDataset, CharacterizeConfig, FlightOptions, PerformancePredictor,
-    PredictorConfig, SweepDriver, SweepOptions,
+    CharacterizationDataset, CharacterizeConfig, PerformancePredictor, PredictorConfig,
+    SweepDriver, SweepOptions,
 };
 use llm_pilot::obs::events::{EventSink, WatchState};
 use llm_pilot::obs::Recorder;
@@ -283,13 +283,10 @@ fn cmd_characterize(args: &[String]) -> Result<(), Error> {
 
     let topts = trace_opts(&p, trace_out, trace_summary);
     let events = events_sink(&p, events_out)?;
-    let flight = match p.get(&flight_dir) {
-        Some(dir) => {
-            std::fs::create_dir_all(&dir)?;
-            Some(FlightOptions::new(dir))
-        }
-        None => None,
-    };
+    let flight_dir = p.get(&flight_dir);
+    if let Some(dir) = &flight_dir {
+        std::fs::create_dir_all(dir)?;
+    }
     let sampler = build_sampler(p.get(&seed));
     let llms = match p.get(&llm) {
         Some(name) => {
@@ -313,7 +310,7 @@ fn cmd_characterize(args: &[String]) -> Result<(), Error> {
         max_steps_per_cell: p.get(&max_steps),
         recorder: topts.recorder.clone(),
         events: events.clone(),
-        flight,
+        flight_dir,
         ..SweepOptions::default()
     };
     let profiles = paper_profiles();

@@ -13,7 +13,7 @@
 use std::sync::OnceLock;
 
 use llm_pilot::core::sweep::{CellStatus, SweepDriver, SweepOptions};
-use llm_pilot::core::{CharacterizeConfig, FlightOptions};
+use llm_pilot::core::CharacterizeConfig;
 use llm_pilot::obs::check::{check_chrome_trace, check_events};
 use llm_pilot::obs::events::{EventSink, WatchState};
 use llm_pilot::obs::flight;
@@ -68,7 +68,7 @@ fn failed_sweep_leaves_valid_flight_dumps_and_a_watchable_event_stream() {
         // Deployment always fails: every feasible cell exhausts retries.
         plan: FaultPlan::new(FaultConfig { deploy_failure_prob: 1.0, ..FaultConfig::disabled() }),
         max_attempts: 2,
-        flight: Some(FlightOptions::new(dir.clone())),
+        flight_dir: Some(dir.clone()),
         events: EventSink::create(events_path.to_str().unwrap()).unwrap(),
         ..SweepOptions::default()
     };
@@ -125,7 +125,7 @@ fn healthy_sweep_reports_tails_and_arms_no_dumps() {
     let dir = scratch_dir("ok");
     let events_path = dir.join("events.jsonl");
     let options = SweepOptions {
-        flight: Some(FlightOptions::new(dir.clone())),
+        flight_dir: Some(dir.clone()),
         events: EventSink::create(events_path.to_str().unwrap()).unwrap(),
         ..SweepOptions::default()
     };
