@@ -1,4 +1,4 @@
-//! Goldens: the stdout of the cheap load-test experiments must match
+//! Goldens: the stdout of the cheap deterministic experiments must match
 //! `tests/data/experiments_<id>.stdout` byte for byte.
 //!
 //! Between them these runs cover what the full-grid golden does not: load
@@ -10,6 +10,16 @@
 //! under 1–32 retries (`resilience`): deploy failures, tuning OOMs and
 //! load-test crashes, the one experiment that drives a `FaultPlan` end to
 //! end.
+//!
+//! The rest pin the paper's other tables and figures: the trace
+//! statistics (`table2`), the feasibility matrix (`table3`), the
+//! request-parameter correlations (`fig3`), the knob MDI of one deployment
+//! (`fig4`), the marginal CDFs of traces against the workload generator
+//! (`fig6`), the flan-t5-xxl latency/throughput curves across GPU profiles
+//! (`fig7`), the random-forest latency model on the traces with its MDI
+//! ranking (`mdi_traces`), the benchmarking-tool row, which runs the full
+//! characterization sweep (`table4`), and the workload generator's bin
+//! budget (`ablate_bins`).
 
 use std::path::Path;
 use std::process::Command;
@@ -30,32 +40,30 @@ fn assert_matches_golden(id: &str) {
     assert_eq!(stdout, golden, "experiments {id} differs from {}", golden_path.display());
 }
 
-#[test]
-fn fig1_matches_the_golden() {
-    assert_matches_golden("fig1");
+/// One `#[test]` per golden: `name => experiment id`.
+macro_rules! golden_tests {
+    ($($test:ident => $id:literal,)*) => {$(
+        #[test]
+        fn $test() {
+            assert_matches_golden($id);
+        }
+    )*};
 }
 
-#[test]
-fn table1_matches_the_golden() {
-    assert_matches_golden("table1");
-}
-
-#[test]
-fn ablate_paged_matches_the_golden() {
-    assert_matches_golden("ablate_paged");
-}
-
-#[test]
-fn corr_ablation_matches_the_golden() {
-    assert_matches_golden("corr_ablation");
-}
-
-#[test]
-fn ablate_regressor_matches_the_golden() {
-    assert_matches_golden("ablate_regressor");
-}
-
-#[test]
-fn resilience_matches_the_golden() {
-    assert_matches_golden("resilience");
+golden_tests! {
+    fig1_matches_the_golden => "fig1",
+    table1_matches_the_golden => "table1",
+    ablate_paged_matches_the_golden => "ablate_paged",
+    corr_ablation_matches_the_golden => "corr_ablation",
+    ablate_regressor_matches_the_golden => "ablate_regressor",
+    resilience_matches_the_golden => "resilience",
+    table2_matches_the_golden => "table2",
+    table3_matches_the_golden => "table3",
+    fig3_matches_the_golden => "fig3",
+    fig4_matches_the_golden => "fig4",
+    fig6_matches_the_golden => "fig6",
+    fig7_matches_the_golden => "fig7",
+    mdi_traces_matches_the_golden => "mdi_traces",
+    table4_matches_the_golden => "table4",
+    ablate_bins_matches_the_golden => "ablate_bins",
 }

@@ -39,7 +39,7 @@ impl Target {
 
 /// Configuration of the LLM-Pilot predictor, with ablation switches for the
 /// two design choices the paper motivates (sample weights, monotonicity).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct PredictorConfig {
     /// Apply the Eq.-(4) sample weights.
     pub use_sample_weights: bool,
@@ -47,6 +47,9 @@ pub struct PredictorConfig {
     pub use_monotone_constraint: bool,
     /// Base GBDT hyperparameters (monotone vector is filled in here).
     pub gbdt: GbdtParams,
+    /// Where training records its spans; disabled by default. Recording
+    /// never changes the trained model.
+    pub recorder: Recorder,
 }
 
 impl Default for PredictorConfig {
@@ -55,6 +58,7 @@ impl Default for PredictorConfig {
             use_sample_weights: true,
             use_monotone_constraint: true,
             gbdt: GbdtParams { n_trees: 200, max_depth: 5, ..GbdtParams::default() },
+            recorder: Recorder::disabled(),
         }
     }
 }
@@ -94,25 +98,16 @@ pub struct PerformancePredictor {
 }
 
 impl PerformancePredictor {
-    /// Train both regressors on the given characterization rows.
+    /// Train both regressors on the given characterization rows. The whole
+    /// training runs under a `predictor.train` span on `config.recorder`,
+    /// with one `predictor.fit_target` span per latency target, and the
+    /// GBDT fits record their phase spans beneath it.
     pub fn train(
         rows: &[&PerfRow],
         constraints: &LatencyConstraints,
         config: &PredictorConfig,
     ) -> Result<Self, CoreError> {
-        Self::train_traced(rows, constraints, config, &Recorder::disabled())
-    }
-
-    /// [`PerformancePredictor::train`] with observability: the whole
-    /// training runs under a `predictor.train` span with one
-    /// `predictor.fit_target` span per latency target, and the underlying
-    /// GBDT fits record their phase spans beneath it.
-    pub fn train_traced(
-        rows: &[&PerfRow],
-        constraints: &LatencyConstraints,
-        config: &PredictorConfig,
-        recorder: &Recorder,
-    ) -> Result<Self, CoreError> {
+        let recorder = &config.recorder;
         let _train_span = recorder.span("predictor.train").arg("rows", rows.len());
         let mut gbdt = config.gbdt.clone();
         gbdt.monotone_constraints =
@@ -122,7 +117,7 @@ impl PerformancePredictor {
                 .span("predictor.fit_target")
                 .arg("target", if target == Target::Nttft { "nttft" } else { "itl" });
             let ds = build_dataset(rows, target, constraints, config)?;
-            Ok(Gbdt::fit_traced(&ds, &gbdt, recorder)?)
+            Ok(Gbdt::fit(&ds, &gbdt, recorder)?)
         };
         Ok(Self { nttft: fit(Target::Nttft)?, itl: fit(Target::Itl)? })
     }
@@ -342,6 +337,45 @@ mod tests {
             assert!(p.0 >= last.0 - 1e-12, "nTTFT decreased at {users} users");
             assert!(p.1 >= last.1 - 1e-12, "ITL decreased at {users} users");
             last = p;
+        }
+    }
+
+    #[test]
+    fn recording_training_keeps_predictions_and_nests_spans() {
+        let ds = small_characterization();
+        let rows: Vec<&PerfRow> = ds.rows.iter().collect();
+        let constraints = LatencyConstraints::paper_defaults();
+        let plain =
+            PerformancePredictor::train(&rows, &constraints, &PredictorConfig::default()).unwrap();
+        let recorder = Recorder::enabled();
+        let config = PredictorConfig { recorder: recorder.clone(), ..PredictorConfig::default() };
+        let traced = PerformancePredictor::train(&rows, &constraints, &config).unwrap();
+
+        let users = [1u32, 2, 4, 8, 16, 32, 64, 128];
+        let profiles =
+            [GpuProfile::new(t4(), 2), GpuProfile::new(a100_40(), 1), GpuProfile::new(h100(), 1)];
+        for llm in [flan_t5_xl(), flan_t5_xxl(), llama2_7b(), llama2_13b(), starcoder()] {
+            for profile in &profiles {
+                let bits = |model: &PerformancePredictor| -> Vec<(u64, u64)> {
+                    let grid = model.predict_users(&llm, profile, &users);
+                    grid.iter().map(|(nttft, itl)| (nttft.to_bits(), itl.to_bits())).collect()
+                };
+                assert_eq!(bits(&plain), bits(&traced), "{} on {}", llm.name, profile.name());
+            }
+        }
+
+        // predictor.train > one predictor.fit_target per target > gbdt.fit.
+        let trace = recorder.snapshot();
+        let named = |name: &str| trace.events.iter().filter(|e| e.name == name).collect::<Vec<_>>();
+        let train = named("predictor.train");
+        assert_eq!(train.len(), 1);
+        let targets = named("predictor.fit_target");
+        assert_eq!(targets.len(), 2);
+        assert!(targets.iter().all(|t| t.parent == Some(train[0].id)));
+        let fits = named("gbdt.fit");
+        assert_eq!(fits.len(), 2);
+        for target in &targets {
+            assert_eq!(fits.iter().filter(|f| f.parent == Some(target.id)).count(), 1);
         }
     }
 

@@ -102,25 +102,15 @@ impl ServingModel {
     /// the set of profiles present in the dataset. `constraints` drive the
     /// Eq.-(4) sample weights (queries may still ask for different SLAs —
     /// the weights only shape where the regressor spends its accuracy).
+    /// The training runs under a `serving.train` span on
+    /// `config.recorder`, with the predictor and GBDT phase spans nested
+    /// beneath it.
     pub fn train(
         dataset: &CharacterizationDataset,
         constraints: &LatencyConstraints,
         config: &PredictorConfig,
     ) -> Result<Self, CoreError> {
-        Self::train_traced(dataset, constraints, config, &llmpilot_obs::Recorder::disabled())
-    }
-
-    /// [`ServingModel::train`] with observability: the training runs under
-    /// a `serving.train` span, with the predictor and GBDT phase spans
-    /// nested beneath it. The trained model is identical to an untraced
-    /// [`ServingModel::train`].
-    pub fn train_traced(
-        dataset: &CharacterizationDataset,
-        constraints: &LatencyConstraints,
-        config: &PredictorConfig,
-        recorder: &llmpilot_obs::Recorder,
-    ) -> Result<Self, CoreError> {
-        let _train_span = recorder.span("serving.train").arg("rows", dataset.len());
+        let _train_span = config.recorder.span("serving.train").arg("rows", dataset.len());
         dataset.validate()?;
         if dataset.is_empty() {
             return Err(CoreError::InsufficientData("empty characterization dataset".into()));
@@ -134,7 +124,7 @@ impl ServingModel {
             })
             .collect::<Result<_, _>>()?;
         let rows: Vec<_> = dataset.rows.iter().collect();
-        let predictor = PerformancePredictor::train_traced(&rows, constraints, config, recorder)?;
+        let predictor = PerformancePredictor::train(&rows, constraints, config)?;
         Ok(Self {
             predictor,
             profiles,

@@ -293,21 +293,12 @@ impl TreeBuilder<'_> {
 }
 
 impl Gbdt {
-    /// Fit the ensemble to a (possibly weighted) dataset.
-    pub fn fit(ds: &Dataset, params: &GbdtParams) -> Result<Self, MlError> {
-        Self::fit_traced(ds, params, &Recorder::disabled())
-    }
-
-    /// [`Gbdt::fit`] with observability: the whole fit runs under a
-    /// `gbdt.fit` span, with `gbdt.histogram` around the bin construction,
-    /// one `gbdt.tree` span per boosting round, and `gbdt.split_search` /
-    /// `gbdt.leaf_fit` spans per node. Tracing never changes the fitted
-    /// model — subsampling RNG state is untouched by the recorder.
-    pub fn fit_traced(
-        ds: &Dataset,
-        params: &GbdtParams,
-        recorder: &Recorder,
-    ) -> Result<Self, MlError> {
+    /// Fit the ensemble to a (possibly weighted) dataset. The whole fit
+    /// runs under a `gbdt.fit` span on `recorder`, with `gbdt.histogram`
+    /// around the bin construction, one `gbdt.tree` span per boosting round,
+    /// and `gbdt.split_search` / `gbdt.leaf_fit` spans per node. Tracing
+    /// never changes the fitted model: the recorder touches no RNG state.
+    pub fn fit(ds: &Dataset, params: &GbdtParams, recorder: &Recorder) -> Result<Self, MlError> {
         let mut fit_span = recorder
             .span("gbdt.fit")
             .arg("rows", ds.n_rows())
@@ -469,7 +460,7 @@ mod tests {
     #[test]
     fn fits_nonlinear_function() {
         let (ds, targets) = make_data(1500, 1);
-        let model = Gbdt::fit(&ds, &GbdtParams::default()).unwrap();
+        let model = Gbdt::fit(&ds, &GbdtParams::default(), &Recorder::disabled()).unwrap();
         let pred = model.predict(&ds);
         assert!(r2(&targets, &pred) > 0.98, "r2 = {}", r2(&targets, &pred));
     }
@@ -478,7 +469,7 @@ mod tests {
     fn generalizes_out_of_sample() {
         let (train, _) = make_data(2000, 2);
         let (test, test_y) = make_data(500, 3);
-        let model = Gbdt::fit(&train, &GbdtParams::default()).unwrap();
+        let model = Gbdt::fit(&train, &GbdtParams::default(), &Recorder::disabled()).unwrap();
         let pred = model.predict(&test);
         assert!(r2(&test_y, &pred) > 0.9, "r2 = {}", r2(&test_y, &pred));
     }
@@ -486,8 +477,18 @@ mod tests {
     #[test]
     fn more_trees_reduce_training_error() {
         let (ds, targets) = make_data(800, 4);
-        let few = Gbdt::fit(&ds, &GbdtParams { n_trees: 5, ..GbdtParams::default() }).unwrap();
-        let many = Gbdt::fit(&ds, &GbdtParams { n_trees: 150, ..GbdtParams::default() }).unwrap();
+        let few = Gbdt::fit(
+            &ds,
+            &GbdtParams { n_trees: 5, ..GbdtParams::default() },
+            &Recorder::disabled(),
+        )
+        .unwrap();
+        let many = Gbdt::fit(
+            &ds,
+            &GbdtParams { n_trees: 150, ..GbdtParams::default() },
+            &Recorder::disabled(),
+        )
+        .unwrap();
         assert!(rmse(&targets, &many.predict(&ds)) < rmse(&targets, &few.predict(&ds)));
     }
 
@@ -502,7 +503,7 @@ mod tests {
         let ds = Dataset::from_rows(&rows, targets).unwrap();
         let params =
             GbdtParams { monotone_constraints: vec![1], n_trees: 120, ..GbdtParams::default() };
-        let model = Gbdt::fit(&ds, &params).unwrap();
+        let model = Gbdt::fit(&ds, &params, &Recorder::disabled()).unwrap();
         let mut last = f64::NEG_INFINITY;
         for i in 0..=1200 {
             let p = model.predict_row(&[f64::from(i) / 100.0]);
@@ -524,7 +525,7 @@ mod tests {
         let ds = Dataset::from_rows(&rows, targets).unwrap();
         let params =
             GbdtParams { monotone_constraints: vec![-1], n_trees: 80, ..GbdtParams::default() };
-        let model = Gbdt::fit(&ds, &params).unwrap();
+        let model = Gbdt::fit(&ds, &params, &Recorder::disabled()).unwrap();
         let mut last = f64::INFINITY;
         for i in 0..=800 {
             let p = model.predict_row(&[f64::from(i) / 80.0]);
@@ -543,7 +544,7 @@ mod tests {
         let targets: Vec<f64> = rows.iter().map(|r| r[0] + (r[1] * 2.0).sin() * 2.0).collect();
         let ds = Dataset::from_rows(&rows, targets.clone()).unwrap();
         let params = GbdtParams { monotone_constraints: vec![1, 0], ..GbdtParams::default() };
-        let model = Gbdt::fit(&ds, &params).unwrap();
+        let model = Gbdt::fit(&ds, &params, &Recorder::disabled()).unwrap();
         assert!(r2(&targets, &model.predict(&ds)) > 0.9);
         // Monotone in feature 0 for a fixed feature 1.
         let mut last = f64::NEG_INFINITY;
@@ -562,7 +563,7 @@ mod tests {
         let targets: Vec<f64> = (0..200).map(|i| if i < 100 { 0.0 } else { 10.0 }).collect();
         let weights: Vec<f64> = (0..200).map(|i| if i < 100 { 10.0 } else { 0.1 }).collect();
         let ds = Dataset::from_rows(&rows, targets).unwrap().with_weights(weights).unwrap();
-        let model = Gbdt::fit(&ds, &GbdtParams::default()).unwrap();
+        let model = Gbdt::fit(&ds, &GbdtParams::default(), &Recorder::disabled()).unwrap();
         let p = model.predict_row(&[1.0]);
         assert!(p < 1.0, "weighted prediction {p} should be pulled to 0");
     }
@@ -571,27 +572,29 @@ mod tests {
     fn subsampling_still_fits() {
         let (ds, targets) = make_data(1000, 8);
         let params = GbdtParams { subsample: 0.7, ..GbdtParams::default() };
-        let model = Gbdt::fit(&ds, &params).unwrap();
+        let model = Gbdt::fit(&ds, &params, &Recorder::disabled()).unwrap();
         assert!(r2(&targets, &model.predict(&ds)) > 0.9);
     }
 
     #[test]
     fn invalid_configs_rejected() {
         let (ds, _) = make_data(50, 9);
-        assert!(Gbdt::fit(&ds, &GbdtParams { n_trees: 0, ..GbdtParams::default() }).is_err());
-        assert!(Gbdt::fit(&ds, &GbdtParams { subsample: 0.0, ..GbdtParams::default() }).is_err());
-        assert!(Gbdt::fit(&ds, &GbdtParams { subsample: 1.5, ..GbdtParams::default() }).is_err());
-        assert!(Gbdt::fit(
-            &ds,
-            &GbdtParams { monotone_constraints: vec![1], ..GbdtParams::default() }
-        )
-        .is_err());
-        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            assert!(Gbdt::fit(&ds, &GbdtParams { lambda: bad, ..GbdtParams::default() }).is_err());
-        }
-        for bad in [-0.5, f64::NAN, f64::INFINITY] {
-            let params = GbdtParams { min_child_weight: bad, ..GbdtParams::default() };
-            assert!(Gbdt::fit(&ds, &params).is_err());
+        let d = GbdtParams::default;
+        let mut invalid = vec![
+            GbdtParams { n_trees: 0, ..d() },
+            GbdtParams { subsample: 0.0, ..d() },
+            GbdtParams { subsample: 1.5, ..d() },
+            GbdtParams { monotone_constraints: vec![1], ..d() },
+        ];
+        invalid.extend(
+            [0.0, -1.0, f64::NAN, f64::INFINITY].map(|lambda| GbdtParams { lambda, ..d() }),
+        );
+        invalid.extend(
+            [-0.5, f64::NAN, f64::INFINITY]
+                .map(|min_child_weight| GbdtParams { min_child_weight, ..d() }),
+        );
+        for params in &invalid {
+            assert!(Gbdt::fit(&ds, params, &Recorder::disabled()).is_err(), "{params:?}");
         }
     }
 
@@ -605,9 +608,12 @@ mod tests {
         let ds = Dataset::from_rows(&rows, targets).unwrap().with_weights(weights).unwrap();
         let unregularized =
             GbdtParams { lambda: 0.0, min_child_weight: 0.0, ..GbdtParams::default() };
-        assert!(matches!(Gbdt::fit(&ds, &unregularized), Err(MlError::InvalidConfig(_))));
+        assert!(matches!(
+            Gbdt::fit(&ds, &unregularized, &Recorder::disabled()),
+            Err(MlError::InvalidConfig(_))
+        ));
         let params = GbdtParams { min_child_weight: 0.0, ..GbdtParams::default() };
-        let model = Gbdt::fit(&ds, &params).unwrap();
+        let model = Gbdt::fit(&ds, &params, &Recorder::disabled()).unwrap();
         assert!(model.feature_importance().iter().all(|v| v.is_finite()));
     }
 
@@ -615,15 +621,15 @@ mod tests {
     fn deterministic_for_fixed_seed() {
         let (ds, _) = make_data(300, 10);
         let p = GbdtParams { subsample: 0.8, ..GbdtParams::default() };
-        let a = Gbdt::fit(&ds, &p).unwrap();
-        let b = Gbdt::fit(&ds, &p).unwrap();
+        let a = Gbdt::fit(&ds, &p, &Recorder::disabled()).unwrap();
+        let b = Gbdt::fit(&ds, &p, &Recorder::disabled()).unwrap();
         assert_eq!(a.predict_row(ds.row(0)), b.predict_row(ds.row(0)));
     }
 
     #[test]
     fn constant_target_predicts_constant() {
         let ds = Dataset::from_rows(&[vec![1.0], vec![2.0], vec![3.0]], vec![7.0; 3]).unwrap();
-        let model = Gbdt::fit(&ds, &GbdtParams::default()).unwrap();
+        let model = Gbdt::fit(&ds, &GbdtParams::default(), &Recorder::disabled()).unwrap();
         assert!((model.predict_row(&[2.0]) - 7.0).abs() < 1e-9);
     }
 }
@@ -642,7 +648,7 @@ mod extension_tests {
             .collect();
         let targets: Vec<f64> = rows.iter().map(|r| r[0] * 3.0).collect();
         let ds = Dataset::from_rows(&rows, targets).unwrap();
-        let model = Gbdt::fit(&ds, &GbdtParams::default()).unwrap();
+        let model = Gbdt::fit(&ds, &GbdtParams::default(), &Recorder::disabled()).unwrap();
         let imp = model.feature_importance();
         assert!((imp.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!(imp[0] > 0.95, "importance = {imp:?}");
@@ -652,9 +658,9 @@ mod extension_tests {
     fn traced_fit_matches_untraced_and_records_phases() {
         let (ds, _) = make_data(400, 30);
         let params = GbdtParams { n_trees: 12, subsample: 0.8, ..GbdtParams::default() };
-        let untraced = Gbdt::fit(&ds, &params).unwrap();
+        let untraced = Gbdt::fit(&ds, &params, &Recorder::disabled()).unwrap();
         let recorder = Recorder::enabled();
-        let traced = Gbdt::fit_traced(&ds, &params, &recorder).unwrap();
+        let traced = Gbdt::fit(&ds, &params, &recorder).unwrap();
         for i in 0..ds.n_rows() {
             assert_eq!(untraced.predict_row(ds.row(i)), traced.predict_row(ds.row(i)));
         }
@@ -1067,10 +1073,11 @@ mod bit_identity_tests {
         fn fit_matches_the_reference_builder_bit_for_bit(case in case()) {
             let Case { ds, params, probes } = case;
             if params.lambda == 0.0 {
-                prop_assert!(matches!(Gbdt::fit(&ds, &params), Err(MlError::InvalidConfig(_))));
+                let fitted = Gbdt::fit(&ds, &params, &Recorder::disabled());
+                prop_assert!(matches!(fitted, Err(MlError::InvalidConfig(_))));
                 return Ok(());
             }
-            let fitted = Gbdt::fit(&ds, &params).unwrap();
+            let fitted = Gbdt::fit(&ds, &params, &Recorder::disabled()).unwrap();
             let oracle = reference::fit(&ds, &params);
             prop_assert_eq!(fitted.num_trees(), oracle.num_trees());
             prop_assert_eq!(bits(&fitted.predict(&ds)), bits(&oracle.predict(&ds)));

@@ -5,6 +5,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use llmpilot_ml::{mape, r2, weighted_mape, Dataset, DecisionTree, Gbdt, GbdtParams, TreeParams};
+use llmpilot_obs::Recorder;
 
 /// Strategy: a small random regression problem.
 fn problem() -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<f64>)> {
@@ -49,7 +50,7 @@ proptest! {
             monotone_constraints: vec![1, 0, 0],
             ..GbdtParams::default()
         };
-        let model = Gbdt::fit(&ds, &params).unwrap();
+        let model = Gbdt::fit(&ds, &params, &Recorder::disabled()).unwrap();
         // Scan feature 0 with the other features fixed at several anchors.
         for anchor in [-50.0, 0.0, 50.0] {
             let mut last = f64::NEG_INFINITY;
@@ -72,7 +73,8 @@ proptest! {
         let ds = Dataset::from_rows(&rows, targets).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         let tree = DecisionTree::fit(&ds, &TreeParams::default(), &mut rng).unwrap();
-        let gbdt = Gbdt::fit(&ds, &GbdtParams { n_trees: 5, ..GbdtParams::default() }).unwrap();
+        let params = GbdtParams { n_trees: 5, ..GbdtParams::default() };
+        let gbdt = Gbdt::fit(&ds, &params, &Recorder::disabled()).unwrap();
         for row in &rows {
             prop_assert!((tree.predict_row(row) - c).abs() < 1e-9);
             prop_assert!((gbdt.predict_row(row) - c).abs() < 1e-6);

@@ -3,9 +3,8 @@
 //! Injected faults make sweep cells fail on purpose, and a span trace is
 //! only written at clean shutdown, so without a flight recorder the
 //! evidence of *why* a cell failed dies with the run. A [`FlightRecorder`]
-//! is a [`Recorder`] in ring-buffer mode
-//! ([`Recorder::ring`](crate::Recorder::ring)): every thread keeps only
-//! its most recent `capacity` completed spans, so memory stays bounded no
+//! is a [`Recorder`] in ring-buffer mode: every thread keeps only its
+//! most recent [`DEFAULT_CAPACITY`] completed spans, so memory stays bounded no
 //! matter how long a cell runs, and the *latest* spans — the ones leading
 //! up to the failure — are always retained.
 //!
@@ -35,7 +34,8 @@ use crate::{Recorder, Trace};
 pub const DEFAULT_CAPACITY: usize = 4096;
 
 /// A bounded recorder whose snapshot is always a small, valid
-/// Chrome-trace document of the most recent activity.
+/// Chrome-trace document of the most recent activity. Each thread keeps
+/// its most recent [`DEFAULT_CAPACITY`] spans.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
     recorder: Recorder,
@@ -43,21 +43,16 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// A flight recorder retaining the most recent `capacity` spans per
-    /// thread.
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
+    /// A ring of `capacity` spans per thread, small enough for a test to
+    /// fill.
+    #[cfg(test)]
+    fn with_capacity(capacity: usize) -> Self {
         FlightRecorder { recorder: Recorder::ring(capacity), capacity }
     }
 
     /// The underlying recorder; hand clones of this to instrumented code.
     pub fn recorder(&self) -> &Recorder {
         &self.recorder
-    }
-
-    /// The configured per-thread span capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Snapshot the ring with dangling parent links detached (eviction or
@@ -94,7 +89,7 @@ impl FlightRecorder {
 
 impl Default for FlightRecorder {
     fn default() -> Self {
-        FlightRecorder::new(DEFAULT_CAPACITY)
+        FlightRecorder { recorder: Recorder::ring(DEFAULT_CAPACITY), capacity: DEFAULT_CAPACITY }
     }
 }
 
@@ -159,7 +154,7 @@ pub fn install_panic_hook() {
                 if flight.dump_to(&path).is_ok() {
                     eprintln!(
                         "flight recorder: dumped {} spans to {}",
-                        flight.recorder().spans_recorded().min(flight.capacity() as u64),
+                        flight.recorder().spans_recorded().min(flight.capacity as u64),
                         path.display()
                     );
                 }
@@ -176,7 +171,7 @@ mod tests {
 
     #[test]
     fn ring_dump_is_bounded_and_valid() {
-        let flight = FlightRecorder::new(16);
+        let flight = FlightRecorder::with_capacity(16);
         let rec = flight.recorder().clone();
         {
             let _outer = rec.span("cell");
@@ -193,7 +188,7 @@ mod tests {
 
     #[test]
     fn dangling_parents_are_detached_not_fatal() {
-        let flight = FlightRecorder::new(2);
+        let flight = FlightRecorder::with_capacity(2);
         let rec = flight.recorder().clone();
         let outer = rec.span("outer");
         {
@@ -214,7 +209,7 @@ mod tests {
         install_panic_hook();
         let dir = std::env::temp_dir().join(format!("llmpilot-flight-test-{}", std::process::id()));
         let path = dir.join(dump_file_name("Llama-2-7b", "weird profile/x"));
-        let flight = FlightRecorder::new(32);
+        let flight = FlightRecorder::with_capacity(32);
         let rec = flight.recorder().clone();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _guard = arm(&flight, path.clone());

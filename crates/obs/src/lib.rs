@@ -25,8 +25,8 @@
 //!   single-owner recording buffer.
 //! * [`events`] — a versioned JSONL telemetry stream ([`events::EventSink`])
 //!   plus the `llm-pilot watch` progress renderer.
-//! * [`flight`] — a bounded ring-buffer flight recorder (built on
-//!   [`Recorder::ring`]) for post-mortem dumps of failed sweep cells.
+//! * [`flight`] — a bounded ring-buffer flight recorder for post-mortem
+//!   dumps of failed sweep cells.
 //!
 //! Recording from several threads is safe by construction: each thread
 //! registers its own buffer on first use, and [`Recorder::snapshot`]
@@ -225,7 +225,7 @@ impl Recorder {
     /// recent `capacity` completed spans, older spans are evicted FIFO.
     /// This is the storage behind [`flight::FlightRecorder`]; counters
     /// are unaffected by the bound.
-    pub fn ring(capacity: usize) -> Self {
+    pub(crate) fn ring(capacity: usize) -> Self {
         Recorder::build(Some(capacity.max(1)))
     }
 

@@ -14,7 +14,6 @@ use std::sync::{Arc, Mutex, RwLock};
 use llmpilot_core::{
     CharacterizationDataset, CoreError, LatencyConstraints, PredictorConfig, ServingModel,
 };
-use llmpilot_obs::Recorder;
 
 /// One immutable trained model plus its provenance.
 #[derive(Debug)]
@@ -35,12 +34,12 @@ pub struct ModelRegistry {
     next_generation: AtomicU64,
     constraints: LatencyConstraints,
     config: PredictorConfig,
-    recorder: Recorder,
 }
 
 impl ModelRegistry {
     /// An empty registry; `constraints` and `config` apply to every
-    /// (re)training run.
+    /// (re)training run, which records a `serve.retrain` span with the
+    /// training spans nested beneath on `config.recorder`.
     pub fn new(constraints: LatencyConstraints, config: PredictorConfig) -> Self {
         Self {
             live: RwLock::new(None),
@@ -48,15 +47,7 @@ impl ModelRegistry {
             next_generation: AtomicU64::new(1),
             constraints,
             config,
-            recorder: Recorder::disabled(),
         }
-    }
-
-    /// Record every (re)training run on `recorder` (`serve.retrain` spans
-    /// with the GBDT phase spans nested beneath).
-    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = recorder;
-        self
     }
 
     /// The live model, if one has been trained. Cheap `Arc` clone.
@@ -80,10 +71,12 @@ impl ModelRegistry {
                 return Ok(live.model_generation);
             }
         }
-        let mut retrain_span =
-            self.recorder.span("serve.retrain").arg("dataset_generation", dataset_generation);
-        let serving =
-            ServingModel::train_traced(dataset, &self.constraints, &self.config, &self.recorder)?;
+        let mut retrain_span = self
+            .config
+            .recorder
+            .span("serve.retrain")
+            .arg("dataset_generation", dataset_generation);
+        let serving = ServingModel::train(dataset, &self.constraints, &self.config)?;
         let model_generation = self.next_generation.fetch_add(1, Ordering::Relaxed);
         retrain_span.set_arg("model_generation", model_generation);
         let trained = Arc::new(TrainedModel { serving, dataset_generation, model_generation });

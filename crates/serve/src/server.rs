@@ -27,7 +27,7 @@ use llmpilot_core::{
 };
 use llmpilot_obs::events::EventSink;
 use llmpilot_obs::json::JsonWriter;
-use llmpilot_obs::{ArgValue, Recorder};
+use llmpilot_obs::ArgValue;
 
 use crate::cache::LruCache;
 use crate::http::{parse_request, Limits, Request, Response};
@@ -85,7 +85,12 @@ pub struct ServeConfig {
     pub watch_interval: Option<Duration>,
     /// SLA used for the Eq.-(4) training weights.
     pub train_constraints: LatencyConstraints,
-    /// Predictor configuration for (re)training.
+    /// Predictor configuration for (re)training. Its `recorder` is the
+    /// daemon's observability sink: request handling and retraining record
+    /// spans there, and `/metrics` reports how many. Disabled by default;
+    /// embedders that enable it export
+    /// [`Recorder::snapshot`](llmpilot_obs::Recorder::snapshot) themselves.
+    /// Every response carries an `X-Trace-Id` header regardless.
     pub predictor: PredictorConfig,
     /// HTTP parser limits.
     pub limits: Limits,
@@ -93,11 +98,6 @@ pub struct ServeConfig {
     pub read_timeout: Duration,
     /// Maximum requests served on one keep-alive connection.
     pub max_requests_per_connection: u32,
-    /// Observability sink: request handling and retraining record spans
-    /// here, and `/metrics` reports how many. Disabled by default;
-    /// embedders that enable it export [`Recorder::snapshot`] themselves.
-    /// Every response carries an `X-Trace-Id` header regardless.
-    pub recorder: Recorder,
     /// JSONL telemetry stream: startup, hot reloads, and retrains are
     /// appended here as versioned events. Disabled by default.
     pub events: EventSink,
@@ -118,7 +118,6 @@ impl ServeConfig {
             limits: Limits::default(),
             read_timeout: Duration::from_secs(5),
             max_requests_per_connection: 10_000,
-            recorder: Recorder::disabled(),
             events: EventSink::disabled(),
         }
     }
@@ -174,8 +173,7 @@ impl Server {
     /// listener and spin up the acceptor/worker/watcher threads.
     pub fn start(config: ServeConfig) -> Result<ServerHandle, ServeError> {
         let store = DatasetStore::open(&config.data_path)?;
-        let registry = ModelRegistry::new(config.train_constraints, config.predictor.clone())
-            .with_recorder(config.recorder.clone());
+        let registry = ModelRegistry::new(config.train_constraints, config.predictor.clone());
         let metrics = Metrics::new();
 
         let (dataset, generation) = store.snapshot();
@@ -365,6 +363,7 @@ fn handle_connection(ctx: &Ctx, stream: TcpStream) {
                 let response = {
                     let mut span = ctx
                         .config
+                        .predictor
                         .recorder
                         .span("serve.request")
                         .arg("trace_id", trace_id)
@@ -414,7 +413,7 @@ fn route(ctx: &Ctx, request: &Request) -> Response {
         }
         ("GET", "/metrics") => {
             ctx.metrics.record_request(Route::Metrics);
-            ctx.metrics.set_trace_spans(ctx.config.recorder.spans_recorded());
+            ctx.metrics.set_trace_spans(ctx.config.predictor.recorder.spans_recorded());
             Response::text(200, ctx.metrics.render())
         }
         ("GET", "/healthz") => {

@@ -138,8 +138,8 @@ impl Deployment {
         make_source: F,
     ) -> Result<ClusterMetrics, SimError>
     where
-        S: RequestSource + Send,
-        F: Fn(usize) -> S + Sync,
+        S: RequestSource,
+        F: Fn(usize) -> S,
     {
         let mem = self.memory_model();
         let mut per_pod = Vec::new();

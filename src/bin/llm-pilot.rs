@@ -381,11 +381,10 @@ fn cmd_recommend(args: &[String]) -> Result<(), Error> {
         ],
     );
     let _run_span = topts.recorder.span("recommend.run").arg("llm", llm.name);
-    let predictor = PerformancePredictor::train_traced(
+    let predictor = PerformancePredictor::train(
         &train_rows,
         &request.constraints,
-        &PredictorConfig::default(),
-        &topts.recorder,
+        &PredictorConfig { recorder: topts.recorder.clone(), ..Default::default() },
     )?;
     let rec =
         recommend(&candidates, &request, |profile, u| Some(predictor.predict(&llm, profile, u)))?;

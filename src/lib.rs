@@ -1,15 +1,16 @@
 #![forbid(unsafe_code)]
 //! # llm-pilot
 //!
-//! Facade crate of the LLM-Pilot reproduction (SC'24): re-exports the five
-//! member crates so applications can depend on a single package.
+//! Facade crate of the LLM-Pilot reproduction (SC'24): re-exports eight
+//! member crates so applications can depend on a single package. The
+//! ninth, `llmpilot-bench`, holds the paper's experiments.
 //!
 //! * [`sim`] — GPU/LLM catalogs and the inference-service simulator.
 //! * [`traces`] — synthetic production traces and analytics.
 //! * [`workload`] — the binned joint-histogram workload generator.
 //! * [`ml`] — the from-scratch ML substrate (trees, GBDT, MLP, MF, CV).
 //! * [`core`] — the characterization pipeline and GPU recommendation tool.
-//! * [`serve`] — the online GPU-recommendation daemon (llmpilot-serve).
+//! * [`serve`] — the online GPU-recommendation daemon (`llm-pilot serve`).
 //! * [`obs`] — structured spans, counters, and Chrome-trace export.
 //! * [`cli`] — the typed command-line parser shared by the binaries.
 //!
@@ -20,7 +21,6 @@ pub use llmpilot_cli as cli;
 pub use llmpilot_core as core;
 pub use llmpilot_ml as ml;
 pub use llmpilot_obs as obs;
-pub use llmpilot_placement as placement;
 pub use llmpilot_serve as serve;
 pub use llmpilot_sim as sim;
 pub use llmpilot_traces as traces;

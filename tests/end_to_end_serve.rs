@@ -230,8 +230,7 @@ fn serve_issues_trace_ids_and_records_spans_for_the_embedder_to_export() {
     config.addr = "127.0.0.1:0".into();
     config.workers = 2;
     config.watch_interval = None;
-    config.predictor = fast_predictor();
-    config.recorder = recorder.clone();
+    config.predictor = PredictorConfig { recorder: recorder.clone(), ..fast_predictor() };
     let handle = Server::start(config).expect("server should start");
     let addr = handle.addr();
 
