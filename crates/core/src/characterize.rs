@@ -8,13 +8,11 @@
 //! is one cell; the grid sweep over cells is
 //! [`SweepDriver`](crate::sweep::SweepDriver).
 
-use std::sync::Arc;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use llmpilot_obs::Recorder;
-use llmpilot_sim::engine::{Engine, PhaseHists};
+use llmpilot_sim::engine::Engine;
 use llmpilot_sim::error::SimError;
 use llmpilot_sim::fault::FaultPlan;
 use llmpilot_sim::gpu::GpuProfile;
@@ -158,18 +156,6 @@ impl CellOutcome {
     }
 }
 
-/// Optional per-cell tail-latency observation: sample histograms for the
-/// load tester plus shared per-phase duration histograms for the engines.
-/// One instance aggregates across every load test of the cell.
-#[derive(Debug, Default)]
-pub struct CellHists {
-    /// Per-request normalized-TTFT and per-gap ITL samples.
-    pub samples: SampleHists,
-    /// Per-phase (prefill/decode) engine step durations; `Arc` because
-    /// every load test's engine shares the same sink.
-    pub phases: Arc<PhaseHists>,
-}
-
 /// Everything about one attempt at a cell besides what is measured:
 /// injected faults, the attempt number, resource budgets and observation
 /// sinks. `Default` is inert — no faults, attempt 0, unlimited budget, a
@@ -184,17 +170,15 @@ pub struct CellContext<'a> {
     /// Maximum engine steps across all load tests of the attempt;
     /// exhausting it fails the cell with [`SimError::BudgetExhausted`].
     pub max_steps: Option<u64>,
-    /// Maximum virtual seconds per load test of the attempt; exceeding it
-    /// fails the cell with [`SimError::BudgetExhausted`].
-    pub max_virtual_s: Option<f64>,
-    /// Span sink: every load test runs under a `cell.load_test` span (with
-    /// the user count as an argument) and the tuner and engines inherit
-    /// it. Tracing never changes the rows.
-    pub recorder: Recorder,
-    /// When given, every load test also records per-sample nTTFT/ITL and
-    /// per-phase prefill/decode durations here. Observation never changes
+    /// Span sink: every load test runs under a `cell.load_test` span
+    /// carrying its user count, engine steps and tokens emitted, and adds
+    /// the last two to the `engine.steps` and `engine.tokens_emitted`
+    /// counters; the tuner records under it too. Tracing never changes
     /// the rows.
-    pub hists: Option<&'a CellHists>,
+    pub recorder: Recorder,
+    /// When given, every load test also records per-sample nTTFT/ITL
+    /// here. Observation never changes the rows.
+    pub hists: Option<&'a SampleHists>,
 }
 
 /// Characterize one `(LLM, GPU profile)` cell: deploy, tune the batch
@@ -251,22 +235,17 @@ pub fn characterize_cell(
     let mut steps_left = ctx.max_steps;
     let mut rows = Vec::with_capacity(config.user_sweep.len());
     for &users in &config.user_sweep {
-        let _load_span = recorder.span("cell.load_test").arg("users", users);
+        let mut load_span = recorder.span("cell.load_test").arg("users", users);
         let load_site = format!("{cell}/u{users}#a{attempt}");
         let perf = PerfModel::new(llm.clone(), profile.clone(), config.perf_config.clone());
         let mut engine = Engine::new(perf, tuned.max_batch_weight)
-            .with_latency_noise(plan.latency_noise(&load_site))
-            .with_recorder(recorder.clone());
-        if let Some(h) = hists {
-            engine = engine.with_phase_hists(Arc::clone(&h.phases));
-        }
+            .with_latency_noise(plan.latency_noise(&load_site));
         let mut source = WorkloadRequestSource::new(
             sampler.clone(),
             cell_seed(config.seed, llm.name, &profile.name(), users),
         );
         let mut faults = plan.load_faults(&load_site, config.duration_s);
         faults.max_steps = steps_left;
-        faults.max_virtual_s = ctx.max_virtual_s;
         let result = run_load_test_observed(
             &mut engine,
             &mem,
@@ -277,8 +256,15 @@ pub fn characterize_cell(
                 concurrent_users: users,
             },
             &mut faults,
-            hists.map(|h| &h.samples),
+            *hists,
         );
+        // Counted once per load test, whether it returned metrics or an
+        // error, so the totals stay exact.
+        let tokens = engine.total_tokens_emitted();
+        recorder.counter_add("engine.steps", faults.steps_used);
+        recorder.counter_add("engine.tokens_emitted", tokens);
+        load_span.set_arg("steps", faults.steps_used);
+        load_span.set_arg("tokens", tokens);
         // The step budget is per cell: steps spent on this load test are
         // gone for the remaining ones.
         if let Some(left) = steps_left {
@@ -330,6 +316,7 @@ pub fn estimate_real_overhead_hours(
 mod tests {
     use super::*;
     use crate::dataset::CharacterizationDataset;
+    use llmpilot_obs::ArgValue;
     use llmpilot_sim::fault::FaultConfig;
     use llmpilot_sim::gpu::{a100_40, t4, v100};
     use llmpilot_sim::llm::{flan_t5_xl, flan_ul2, llama2_13b, llama2_7b};
@@ -474,6 +461,43 @@ mod tests {
     }
 
     #[test]
+    fn engine_steps_counter_pins_the_step_budget() {
+        let s = sampler();
+        let llm = llama2_13b();
+        let profile = GpuProfile::new(a100_40(), 1);
+        let recorder = Recorder::enabled();
+        let ctx = CellContext { recorder: recorder.clone(), ..CellContext::default() };
+        let traced = characterize_cell(&llm, &profile, &s, &quick_config(), &ctx);
+        let trace = recorder.snapshot();
+        let counter = |name: &str| trace.counters.iter().find(|(n, _)| n == name).map(|c| c.1);
+        let steps = counter("engine.steps").expect("a traced cell counts its engine steps");
+        assert!(counter("engine.tokens_emitted").is_some_and(|t| t >= steps));
+        // The load-test spans carry the same steps the counter sums.
+        let span_steps: u64 = trace
+            .events
+            .iter()
+            .filter(|e| e.name == "cell.load_test")
+            .filter_map(|e| match e.args.iter().find(|(k, _)| k == "steps") {
+                Some((_, ArgValue::U64(v))) => Some(*v),
+                _ => None,
+            })
+            .sum();
+        assert_eq!(span_steps, steps);
+
+        // The budget counts exactly the steps the counter reports: N is
+        // enough for identical rows, N - 1 is not.
+        let budgeted = |max_steps| {
+            let ctx = CellContext { max_steps: Some(max_steps), ..CellContext::default() };
+            characterize_cell(&llm, &profile, &s, &quick_config(), &ctx)
+        };
+        assert_eq!(budgeted(steps), traced);
+        match budgeted(steps - 1) {
+            CellOutcome::Failed { error: SimError::BudgetExhausted { .. }, .. } => {}
+            other => panic!("expected BudgetExhausted, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn faulty_cell_with_none_plan_matches_plain_cell() {
         let s = sampler();
         let llm = llama2_13b();
@@ -487,7 +511,6 @@ mod tests {
                 plan: FaultPlan::none(),
                 attempt,
                 max_steps: None,
-                max_virtual_s: None,
                 recorder: Recorder::disabled(),
                 hists: None,
             };

@@ -26,6 +26,38 @@ pub struct PerfRow {
     pub throughput: f64,
 }
 
+impl PerfRow {
+    /// Append the row as one CSV line (no header), floats in shortest
+    /// round-trip form so [`PerfRow::parse_csv`] recovers them bit-exactly.
+    /// The one row writer of the dataset CSV and the sweep journal.
+    pub(crate) fn write_csv(&self, out: &mut String) {
+        let PerfRow { llm, profile, users, ttft_s, nttft_s, itl_s, throughput } = self;
+        writeln!(out, "{llm},{profile},{users},{ttft_s},{nttft_s},{itl_s},{throughput}")
+            .expect("write to String cannot fail");
+    }
+
+    /// Parse one line written by [`PerfRow::write_csv`]; the error names the
+    /// bad field, and the caller adds where the line came from. The one row
+    /// parser of the dataset CSV and the sweep journal.
+    pub(crate) fn parse_csv(line: &str) -> Result<Self, String> {
+        let fields: Vec<&str> = line.split(',').collect();
+        if fields.len() != 7 {
+            return Err(format!("expected 7 fields, found {}", fields.len()));
+        }
+        let parse_f =
+            |s: &str, what: &str| s.parse::<f64>().map_err(|_| format!("bad {what}: {s:?}"));
+        Ok(PerfRow {
+            llm: fields[0].to_string(),
+            profile: fields[1].to_string(),
+            users: fields[2].parse().map_err(|_| format!("bad users: {:?}", fields[2]))?,
+            ttft_s: parse_f(fields[3], "ttft")?,
+            nttft_s: parse_f(fields[4], "nttft")?,
+            itl_s: parse_f(fields[5], "itl")?,
+            throughput: parse_f(fields[6], "throughput")?,
+        })
+    }
+}
+
 /// The dataset: measurement rows plus per-cell tuned batch weights.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CharacterizationDataset {
@@ -94,12 +126,7 @@ impl CharacterizationDataset {
     pub fn to_csv(&self) -> String {
         let mut out = String::from("llm,profile,users,ttft_s,nttft_s,itl_s,throughput\n");
         for r in &self.rows {
-            writeln!(
-                out,
-                "{},{},{},{},{},{},{}",
-                r.llm, r.profile, r.users, r.ttft_s, r.nttft_s, r.itl_s, r.throughput
-            )
-            .expect("write to String cannot fail");
+            r.write_csv(&mut out);
         }
         out
     }
@@ -150,30 +177,9 @@ impl CharacterizationDataset {
             if lineno == 0 || line.trim().is_empty() {
                 continue;
             }
-            let fields: Vec<&str> = line.split(',').collect();
-            if fields.len() != 7 {
-                return Err(CoreError::Parse(format!(
-                    "line {}: expected 7 fields, found {}",
-                    lineno + 1,
-                    fields.len()
-                )));
-            }
-            let parse_f = |s: &str, what: &str| {
-                s.parse::<f64>().map_err(|_| {
-                    CoreError::Parse(format!("line {}: bad {what}: {s:?}", lineno + 1))
-                })
-            };
-            rows.push(PerfRow {
-                llm: fields[0].to_string(),
-                profile: fields[1].to_string(),
-                users: fields[2].parse().map_err(|_| {
-                    CoreError::Parse(format!("line {}: bad users: {:?}", lineno + 1, fields[2]))
-                })?,
-                ttft_s: parse_f(fields[3], "ttft")?,
-                nttft_s: parse_f(fields[4], "nttft")?,
-                itl_s: parse_f(fields[5], "itl")?,
-                throughput: parse_f(fields[6], "throughput")?,
-            });
+            let row = PerfRow::parse_csv(line)
+                .map_err(|e| CoreError::Parse(format!("line {}: {e}", lineno + 1)))?;
+            rows.push(row);
         }
         Ok(Self { rows, tuned_weights: BTreeMap::new() })
     }

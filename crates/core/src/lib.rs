@@ -31,8 +31,7 @@ pub mod sweep;
 pub mod weights;
 
 pub use characterize::{
-    characterize_cell, CellContext, CellHists, CellOutcome, CharacterizeConfig,
-    WorkloadRequestSource,
+    characterize_cell, CellContext, CellOutcome, CharacterizeConfig, WorkloadRequestSource,
 };
 pub use dataset::{CharacterizationDataset, PerfRow};
 pub use error::CoreError;

@@ -6,7 +6,7 @@
 //! fail transiently, a cell OOMs at the batch-weight boundary. The
 //! [`SweepDriver`] runs [`characterize_cell`] on every cell with per-cell
 //! retry (exponential *virtual* backoff — no wall-clock sleeping in a
-//! simulator), per-cell step/virtual-time budgets, and a CSV journal so an
+//! simulator), a per-cell step budget, and a CSV journal so an
 //! interrupted sweep resumes where it left off without recomputing finished
 //! cells. Each cell's journal lines are appended and synced the moment the
 //! cell finishes, so a killed sweep loses at most the cells still running.
@@ -36,13 +36,17 @@ use llmpilot_obs::Recorder;
 use llmpilot_sim::fault::FaultPlan;
 use llmpilot_sim::gpu::GpuProfile;
 use llmpilot_sim::llm::LlmSpec;
+use llmpilot_sim::load::SampleHists;
 use llmpilot_workload::WorkloadSampler;
 
-use crate::characterize::{
-    characterize_cell, CellContext, CellHists, CellOutcome, CharacterizeConfig,
-};
+use crate::characterize::{characterize_cell, CellContext, CellOutcome, CharacterizeConfig};
 use crate::dataset::{CharacterizationDataset, PerfRow};
 use crate::error::CoreError;
+
+/// Base of the exponential retry backoff, virtual seconds: retry `k`
+/// (1-based) waits `BACKOFF_BASE_S * 2^(k-1)`. Purely virtual —
+/// accumulated in the report, never slept.
+const BACKOFF_BASE_S: f64 = 10.0;
 
 /// Options of a fault-tolerant sweep.
 #[derive(Debug, Clone)]
@@ -52,22 +56,17 @@ pub struct SweepOptions {
     /// Maximum attempts per cell (≥ 1); a cell failing this many times is
     /// recorded as failed.
     pub max_attempts: u32,
-    /// Base of the exponential retry backoff, virtual seconds: attempt `k`
-    /// (1-based retry) waits `backoff_base_s * 2^(k-1)`. Purely virtual —
-    /// accumulated in the report, never slept.
-    pub backoff_base_s: f64,
     /// Per-attempt engine-step budget across one cell's load tests.
     pub max_steps_per_cell: Option<u64>,
-    /// Per-load-test virtual-time budget, seconds.
-    pub max_virtual_s_per_cell: Option<f64>,
     /// Journal file: completed cells are appended here and skipped on the
     /// next run. `None` disables journaling.
     pub journal_path: Option<PathBuf>,
     /// Process at most this many *new* cells, then stop (simulates an
     /// interrupted sweep; used by the resume tests). `None` = all.
     pub max_cells_per_run: Option<usize>,
-    /// Observability sink: per-cell/attempt/backoff spans are recorded here,
-    /// and the engines of every load test inherit it. Disabled by default;
+    /// Observability sink: per-cell/attempt/backoff spans are recorded
+    /// here, and each cell records its tuner and load-test spans and the
+    /// per-load-test `engine.*` counters under them. Disabled by default;
     /// tracing never changes the measured dataset.
     pub recorder: Recorder,
     /// Telemetry event stream (JSONL, see [`llmpilot_obs::events`]):
@@ -87,9 +86,7 @@ impl Default for SweepOptions {
         Self {
             plan: FaultPlan::none(),
             max_attempts: 3,
-            backoff_base_s: 10.0,
             max_steps_per_cell: None,
-            max_virtual_s_per_cell: None,
             journal_path: None,
             max_cells_per_run: None,
             recorder: Recorder::disabled(),
@@ -132,10 +129,6 @@ pub struct CellTails {
     pub nttft: HistSummary,
     /// Inter-token latency per emitted token gap.
     pub itl: HistSummary,
-    /// Engine prefill cost per admitted request.
-    pub prefill: HistSummary,
-    /// Engine decode-step cost per iteration.
-    pub decode: HistSummary,
 }
 
 /// Aggregated result of a sweep: per-cell statuses in grid order plus
@@ -282,9 +275,10 @@ fn sanitize(text: &str) -> String {
 /// write — short windows legitimately yield fewer rows than user levels,
 /// so the count cannot be inferred from the sweep config.
 ///
-/// Row lines reuse the dataset CSV format of
-/// [`CharacterizationDataset::to_csv`] verbatim, so floats round-trip
-/// bit-exactly (shortest round-trip `Display`).
+/// Row lines are written and parsed by the row codec of
+/// [`CharacterizationDataset::to_csv`] and
+/// [`CharacterizationDataset::from_csv`], so floats round-trip bit-exactly
+/// (shortest round-trip `Display`).
 fn journal_lines(llm: &str, profile: &str, status: &CellStatus) -> String {
     let mut out = String::new();
     match status {
@@ -294,10 +288,7 @@ fn journal_lines(llm: &str, profile: &str, status: &CellStatus) -> String {
                 rows.len()
             ));
             for r in rows {
-                out.push_str(&format!(
-                    "{},{},{},{},{},{},{}\n",
-                    r.llm, r.profile, r.users, r.ttft_s, r.nttft_s, r.itl_s, r.throughput
-                ));
+                r.write_csv(&mut out);
             }
         }
         CellStatus::Infeasible(reason) => {
@@ -432,20 +423,7 @@ fn parse_journal_line(
             else {
                 return Err(bad("dataset row outside a measured cell"));
             };
-            let fields: Vec<&str> = line.split(',').collect();
-            if fields.len() != 7 {
-                return Err(bad("expected 7 row fields"));
-            }
-            let parse_f = |s: &str| s.parse::<f64>().map_err(|_| bad(&format!("bad float {s:?}")));
-            rows.push(PerfRow {
-                llm: fields[0].to_string(),
-                profile: fields[1].to_string(),
-                users: fields[2].parse().map_err(|_| bad("bad users"))?,
-                ttft_s: parse_f(fields[3])?,
-                nttft_s: parse_f(fields[4])?,
-                itl_s: parse_f(fields[5])?,
-                throughput: parse_f(fields[6])?,
-            });
+            rows.push(PerfRow::parse_csv(line).map_err(|e| bad(&e))?);
         }
     }
     Ok(())
@@ -578,30 +556,16 @@ impl<'a> SweepDriverBuilder<'a> {
     /// # Errors
     ///
     /// [`CoreError::InvalidConfig`] when any option is out of range:
-    /// `max_attempts` of 0, a negative or non-finite `backoff_base_s`, a
-    /// zero step budget, a non-positive or non-finite virtual-time budget,
-    /// or a non-positive load-test duration.
+    /// `max_attempts` of 0, a zero step budget, or a non-positive load-test
+    /// duration.
     pub fn build(self) -> Result<SweepDriver<'a>, CoreError> {
         let invalid = |msg: String| Err(CoreError::InvalidConfig(msg));
         let o = &self.options;
         if o.max_attempts < 1 {
             return invalid("max_attempts must be at least 1".into());
         }
-        if !o.backoff_base_s.is_finite() || o.backoff_base_s < 0.0 {
-            return invalid(format!(
-                "backoff_base_s must be finite and non-negative, got {}",
-                o.backoff_base_s
-            ));
-        }
         if o.max_steps_per_cell == Some(0) {
             return invalid("max_steps_per_cell must be at least 1 when set".into());
-        }
-        if let Some(v) = o.max_virtual_s_per_cell {
-            if !v.is_finite() || v <= 0.0 {
-                return invalid(format!(
-                    "max_virtual_s_per_cell must be finite and positive when set, got {v}"
-                ));
-            }
         }
         if !self.config.duration_s.is_finite() || self.config.duration_s <= 0.0 {
             return invalid(format!(
@@ -661,12 +625,11 @@ impl<'a> SweepDriver<'a> {
         let cell_rec: Recorder =
             flight.as_ref().map_or_else(|| recorder.clone(), |(fl, _)| fl.recorder().clone());
 
-        let hists = CellHists::default();
+        let hists = SampleHists::default();
         let mut ctx = CellContext {
             plan: self.options.plan.clone(),
             attempt: 0,
             max_steps: self.options.max_steps_per_cell,
-            max_virtual_s: self.options.max_virtual_s_per_cell,
             recorder: cell_rec,
             hists: Some(&hists),
         };
@@ -705,8 +668,7 @@ impl<'a> SweepDriver<'a> {
                         }
                         break CellStatus::Failed { error: error.to_string(), attempts: attempt };
                     }
-                    let step =
-                        self.options.backoff_base_s * (2.0f64).powi((attempt - 1).min(60) as i32);
+                    let step = BACKOFF_BASE_S * (2.0f64).powi((attempt - 1).min(60) as i32);
                     backoff += step;
                     events.cell_retried(
                         llm.name,
@@ -725,12 +687,7 @@ impl<'a> SweepDriver<'a> {
             }
         };
 
-        let tails = CellTails {
-            nttft: hists.samples.nttft.summary(),
-            itl: hists.samples.itl.summary(),
-            prefill: hists.phases.prefill.summary(),
-            decode: hists.phases.decode.summary(),
-        };
+        let tails = CellTails { nttft: hists.nttft.summary(), itl: hists.itl.summary() };
         let done = progress.finish_cell(cell_start.elapsed().as_secs_f64());
         let status_str = match &status {
             CellStatus::Measured { .. } => "measured",
@@ -1158,20 +1115,8 @@ mod tests {
             "max_attempts",
         );
         expect_invalid(
-            build(SweepOptions { backoff_base_s: -1.0, ..SweepOptions::default() }),
-            "backoff_base_s",
-        );
-        expect_invalid(
-            build(SweepOptions { backoff_base_s: f64::NAN, ..SweepOptions::default() }),
-            "backoff_base_s",
-        );
-        expect_invalid(
             build(SweepOptions { max_steps_per_cell: Some(0), ..SweepOptions::default() }),
             "max_steps_per_cell",
-        );
-        expect_invalid(
-            build(SweepOptions { max_virtual_s_per_cell: Some(0.0), ..SweepOptions::default() }),
-            "max_virtual_s_per_cell",
         );
         let bad_duration = SweepDriver::builder(&llms, &profiles, &s)
             .config(CharacterizeConfig { duration_s: 0.0, ..CharacterizeConfig::default() })
@@ -1224,8 +1169,6 @@ mod tests {
             if matches!(status, CellStatus::Measured { .. }) {
                 assert!(t.nttft.count > 0);
                 assert!(t.itl.count > 0);
-                assert!(t.prefill.count > 0);
-                assert!(t.decode.count > 0);
                 assert!(t.itl.p99 >= t.itl.p50);
                 assert!(t.nttft.p999 >= t.nttft.p99);
             } else {
@@ -1350,7 +1293,16 @@ mod tests {
         for e in trace.events.iter().filter(|e| e.name == "sweep.cell") {
             assert_eq!(e.parent, Some(run_id));
         }
-        assert!(count("cell.load_test") >= report.measured() * 2);
+        let load_tests = count("cell.load_test");
+        assert!(load_tests >= report.measured() * 2);
+        // The engine records no spans: each attempt adds a bounded handful
+        // (attempt, backoff, tuner) besides its load tests.
+        assert!(trace.events.iter().all(|e| !e.name.starts_with("engine.")));
+        assert!(
+            trace.events.len() <= 8 * (load_tests + attempts as usize),
+            "{} spans for {load_tests} load tests and {attempts} attempts",
+            trace.events.len()
+        );
         let retries = trace.counters.iter().find(|(k, _)| k == "sweep.retries").unwrap().1;
         assert_eq!(retries as usize, (attempts as usize) - 4);
     }

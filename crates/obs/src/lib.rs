@@ -108,7 +108,7 @@ impl From<String> for ArgValue {
 /// One completed span, as recorded when its guard dropped.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanEvent {
-    /// Span name (e.g. `"engine.step"`).
+    /// Span name (e.g. `"cell.load_test"`).
     pub name: Cow<'static, str>,
     /// Unique span id within the recorder (never 0).
     pub id: u64,

@@ -17,7 +17,6 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use llmpilot_obs::hist::{Histogram, LocalHistogram};
-use llmpilot_obs::Recorder;
 
 use crate::error::SimError;
 use crate::perf_model::PerfModel;
@@ -157,9 +156,10 @@ impl Request {
 
 /// Per-phase duration histograms (virtual seconds, recorded as
 /// nanoseconds): one sample per iteration's decode component and one per
-/// admitted request's prefill cost. Shared via `Arc` so a sweep can
+/// admitted request's prefill cost. Shared via `Arc` so a caller can
 /// aggregate across many engine instances; each engine adds its samples
-/// in when it drops.
+/// in when it drops. The library sweep attaches none; perfbench's replica
+/// of the sweep does, through [`Engine::with_phase_hists`].
 #[derive(Debug, Default)]
 pub struct PhaseHists {
     /// Prompt-processing cost per admitted request.
@@ -226,9 +226,6 @@ pub struct Engine {
     next_finish: u64,
     total_tokens_emitted: u64,
     preemptions: u64,
-    /// Structured-trace sink; [`Recorder::disabled`] by default, so the
-    /// hot loop pays only an `Option` branch per phase.
-    recorder: Recorder,
     /// Optional per-phase duration buffers; `None` costs one branch.
     phase_hists: Option<PhaseBuffers>,
 }
@@ -253,24 +250,8 @@ impl Engine {
             next_finish: u64::MAX,
             total_tokens_emitted: 0,
             preemptions: 0,
-            recorder: Recorder::disabled(),
             phase_hists: None,
         }
-    }
-
-    /// Attach a structured-trace recorder (builder style): every
-    /// subsequent [`Engine::step`] records `engine.step` spans with
-    /// admission/prefill/decode/preempt child phases, plus
-    /// `engine.steps` / `engine.tokens_emitted` / `engine.preemptions`
-    /// counters.
-    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
-    /// The attached trace recorder (disabled unless set).
-    pub fn recorder(&self) -> &Recorder {
-        &self.recorder
     }
 
     /// Attach shared per-phase duration histograms (builder style): every
@@ -278,7 +259,9 @@ impl Engine {
     /// admitted request's prefill cost into buffers of the engine's own,
     /// which are added into [`PhaseHists`] when the engine drops (a clone
     /// starts with empty buffers into the same sink). Recording never
-    /// perturbs the simulation — virtual time is read, not changed.
+    /// perturbs the simulation — virtual time is read, not changed. Kept
+    /// for perfbench's `offline` workload, which calls it; no library path
+    /// does.
     pub fn with_phase_hists(mut self, hists: Arc<PhaseHists>) -> Self {
         self.phase_hists = Some(PhaseBuffers::new(hists));
         self
@@ -480,45 +463,34 @@ impl Engine {
         if !self.has_work() {
             return;
         }
-        let _step_span = self.recorder.span("engine.step");
-        self.recorder.counter_add("engine.steps", 1);
 
         let decoding = self.running.len();
-        {
-            let _span = self.recorder.span("engine.admission");
-            self.admit();
-        }
+        self.admit();
 
         // Decode cost for the sequences that were already running.
-        let mut step_time = {
-            let _span = self.recorder.span("engine.decode");
-            let old_seqs = self.running_seqs;
-            if old_seqs > 0 {
-                let kv_tokens = self.running_kv_tokens
-                    + self.running[decoding..].iter().map(|r| r.kv_tokens()).sum::<u64>();
-                let t = self.perf.decode_step_time(old_seqs, kv_tokens);
-                if let Some(h) = &mut self.phase_hists {
-                    h.decode.record_secs(t);
-                }
-                t
-            } else {
-                0.0
+        let old_seqs = self.running_seqs;
+        let mut step_time = if old_seqs > 0 {
+            let kv_tokens = self.running_kv_tokens
+                + self.running[decoding..].iter().map(|r| r.kv_tokens()).sum::<u64>();
+            let t = self.perf.decode_step_time(old_seqs, kv_tokens);
+            if let Some(h) = &mut self.phase_hists {
+                h.decode.record_secs(t);
             }
+            t
+        } else {
+            0.0
         };
         // Prompt-processing cost of every admitted request (its sequences
         // prefill together; cost is linear in the number of sequences).
         // Recomputed (preempted) requests re-prefill their prompt plus the
         // tokens already generated.
-        {
-            let _span = self.recorder.span("engine.prefill");
-            for r in &self.running[decoding..] {
-                let t = self.perf.prefill_time(r.spec.input_tokens + r.generated)
-                    * r.spec.batch_size as f64;
-                if let Some(h) = &mut self.phase_hists {
-                    h.prefill.record_secs(t);
-                }
-                step_time += t;
+        for r in &self.running[decoding..] {
+            let t = self.perf.prefill_time(r.spec.input_tokens + r.generated)
+                * r.spec.batch_size as f64;
+            if let Some(h) = &mut self.phase_hists {
+                h.prefill.record_secs(t);
             }
+            step_time += t;
         }
         let now = self.clock + step_time;
         self.clock = now;
@@ -588,13 +560,8 @@ impl Engine {
             self.next_finish = next_finish;
         }
         if self.policy == AdmissionPolicy::PagedCurrent {
-            let _span = self.recorder.span("engine.preempt");
-            let before = self.preemptions;
             self.preempt_overflow();
-            self.recorder.counter_add("engine.preemptions", self.preemptions - before);
         }
-        self.recorder
-            .counter_add("engine.tokens_emitted", self.total_tokens_emitted - tokens_before);
         self.last_step_at = now;
         record.time = now;
         record.decoded = decoding as u32;
@@ -645,32 +612,6 @@ mod tests {
     }
 
     #[test]
-    fn recorder_captures_step_phases() {
-        let rec = llmpilot_obs::Recorder::enabled();
-        let mut e = engine(100_000).with_recorder(rec.clone());
-        e.submit(RequestSpec::new(100, 5)).unwrap();
-        let mut steps = 0u64;
-        while e.has_work() {
-            e.step();
-            steps += 1;
-        }
-        let trace = rec.snapshot();
-        let count = |name: &str| trace.events.iter().filter(|ev| ev.name == name).count() as u64;
-        assert_eq!(count("engine.step"), steps);
-        assert_eq!(count("engine.admission"), steps);
-        assert_eq!(count("engine.decode"), steps);
-        assert_eq!(count("engine.prefill"), steps);
-        // Phases are children of their step span.
-        let step_ids: std::collections::HashSet<u64> =
-            trace.events.iter().filter(|ev| ev.name == "engine.step").map(|ev| ev.id).collect();
-        for ev in trace.events.iter().filter(|ev| ev.name != "engine.step") {
-            assert!(step_ids.contains(&ev.parent.expect("phase has a parent")));
-        }
-        assert!(trace.counters.iter().any(|(n, v)| n == "engine.steps" && *v == steps));
-        assert!(trace.counters.iter().any(|(n, v)| n == "engine.tokens_emitted" && *v == 5));
-    }
-
-    #[test]
     fn phase_hists_capture_prefill_and_decode_without_perturbing() {
         let run = |hists: Option<Arc<PhaseHists>>| {
             let mut e = engine(600);
@@ -698,26 +639,6 @@ mod tests {
         assert!(hists.decode.count() > 0);
         assert!(hists.prefill.quantile(0.5) > 0, "prefill durations are positive");
         assert!(hists.decode.quantile(0.99) >= hists.decode.quantile(0.5));
-    }
-
-    #[test]
-    fn disabled_recorder_leaves_results_identical() {
-        let run = |rec: llmpilot_obs::Recorder| {
-            let mut e = engine(600).with_recorder(rec);
-            for _ in 0..8 {
-                e.submit(RequestSpec::new(300, 100)).unwrap();
-            }
-            let mut times = Vec::new();
-            while e.has_work() {
-                for c in e.step().completions {
-                    times.push((c.time, c.id));
-                }
-            }
-            (times, e.clock())
-        };
-        let plain = run(llmpilot_obs::Recorder::disabled());
-        let traced = run(llmpilot_obs::Recorder::enabled());
-        assert_eq!(plain, traced, "instrumentation must not perturb the simulation");
     }
 
     #[test]

@@ -67,8 +67,8 @@ pub enum SimError {
         /// The engine's maximum batch weight, tokens.
         max_batch_weight: u64,
     },
-    /// A per-cell step or virtual-time budget was exhausted before the
-    /// experiment finished.
+    /// A per-cell step budget was exhausted before the experiment
+    /// finished.
     BudgetExhausted {
         /// Which budget, and its limit.
         what: String,

@@ -219,10 +219,6 @@ pub struct LoadFaults {
     /// [`SimError::BudgetExhausted`] instead of running past this many
     /// engine iterations (a guard against virtual-time stalls).
     pub max_steps: Option<u64>,
-    /// Virtual-time budget: the load test fails with
-    /// [`SimError::BudgetExhausted`] once the engine clock passes this many
-    /// seconds (a guard against runaway windows).
-    pub max_virtual_s: Option<f64>,
     /// Engine iterations consumed by the load test (written back by
     /// `run_load_test_observed`; cumulative across calls reusing the value).
     pub steps_used: u64,
@@ -231,7 +227,7 @@ pub struct LoadFaults {
 impl LoadFaults {
     /// No crash, no budget: a load test that injects nothing.
     pub fn none() -> Self {
-        LoadFaults { crash_at: None, max_steps: None, max_virtual_s: None, steps_used: 0 }
+        LoadFaults { crash_at: None, max_steps: None, steps_used: 0 }
     }
 
     /// Check the fault state after one engine step at virtual time `clock`.
@@ -241,13 +237,6 @@ impl LoadFaults {
             if self.steps_used > max {
                 return Err(SimError::BudgetExhausted {
                     what: format!("load test exceeded step budget of {max}"),
-                });
-            }
-        }
-        if let Some(max) = self.max_virtual_s {
-            if clock > max {
-                return Err(SimError::BudgetExhausted {
-                    what: format!("load test exceeded virtual-time budget of {max}s"),
                 });
             }
         }

@@ -256,9 +256,9 @@ impl InFlightSlab {
 ///
 /// The engine's clock must start at 0; the experiment runs until the clock
 /// passes `config.duration_s`. After every engine iteration `faults` is
-/// consulted for a scheduled crash or an exceeded step or virtual-time
-/// budget, either of which aborts the experiment with the corresponding
-/// [`SimError`]; [`LoadFaults::none`] injects nothing. When
+/// consulted for a scheduled crash or an exceeded step budget, either of
+/// which aborts the experiment with the corresponding [`SimError`];
+/// [`LoadFaults::none`] injects nothing. When
 /// `hists` is given, every normalized-TTFT and inter-token-latency sample
 /// (including censored TTFT lower bounds) is also recorded: into buffers
 /// of the test's own, which are added into `hists` when the test returns,

@@ -157,7 +157,6 @@ fn healthy_sweep_reports_tails_and_arms_no_dumps() {
             assert!(tails.itl.count > 0, "{llm}/{profile} has ITL samples");
             assert!(tails.nttft.p99 >= tails.nttft.p50);
             assert!(tails.itl.p99 >= tails.itl.p50);
-            assert!(tails.prefill.count > 0 && tails.decode.count > 0);
         }
     }
     let doc = std::fs::read_to_string(&events_path).unwrap();

@@ -14,7 +14,7 @@ use llm_pilot::obs::{ArgValue, Recorder, Span};
 
 const NAMES: [&str; 7] = [
     "sweep.cell",
-    "engine.step",
+    "cell.load_test",
     "tuner.ramp",
     "gbdt.fit",
     "serve.request",
